@@ -11,6 +11,9 @@
 
 let experiments = Core.Registry.all
 
+let print_table ~header rows =
+  print_string (Core.Report.block_to_string (Core.Report.Table { header; rows }))
+
 (* ---------- Bechamel microbenchmarks ---------- *)
 
 let micro_tests () =
@@ -143,16 +146,16 @@ let experiment_json cfg (e : Core.Registry.entry) =
     ~description:e.Core.Registry.description ~seconds doc
 
 let artifact cfg ~scale entries =
-  Core.Json.Obj
+  Njson.Obj
     [
-      ("schema", Core.Json.String "nuop-bench/1");
-      ("date", Core.Json.String (today ()));
-      ("scale", Core.Json.String scale);
-      ("experiments", Core.Json.List (List.map (experiment_json cfg) entries));
+      ("schema", Njson.String "nuop-bench/1");
+      ("date", Njson.String (today ()));
+      ("scale", Njson.String scale);
+      ("experiments", Njson.List (List.map (experiment_json cfg) entries));
     ]
 
 let write_json ~out json =
-  let s = Core.Json.to_string json ^ "\n" in
+  let s = Njson.to_string json ^ "\n" in
   match out with
   | None -> print_string s
   | Some file ->
@@ -169,21 +172,21 @@ let verify_json file =
   let s = really_input_string ic len in
   close_in ic;
   let json =
-    match Core.Json.of_string_result s with
+    match Njson.of_string_result s with
     | Ok j -> j
     | Error msg ->
       Obs.Log.error "%s: JSON parse error: %s" file msg;
       exit 1
   in
   let entries =
-    Option.bind (Core.Json.member "experiments" json) Core.Json.to_list
+    Option.bind (Njson.member "experiments" json) Njson.to_list
     |> Option.value ~default:[]
   in
   let found =
     List.filter_map
       (fun e ->
-        match Core.Json.member "name" e with
-        | Some (Core.Json.String n) -> Some n
+        match Njson.member "name" e with
+        | Some (Njson.String n) -> Some n
         | _ -> None)
       entries
   in
@@ -243,7 +246,7 @@ let run_cached cfg file entries =
   in
   print_newline ();
   Printf.printf "Warm-vs-cold wall time (cache file %s):\n" file;
-  Core.Report.table
+  print_table
     ~header:[ "experiment"; "cold (s)"; "warm (s)"; "speedup"; "identical" ]
     rows
 
@@ -262,14 +265,14 @@ let run_cached cfg file entries =
    ratio is the service-side evidence for the shared warm cache. *)
 
 let serve_load_line i =
-  Core.Json.to_string ~indent:0
-    (Core.Json.Obj
+  Njson.to_string ~indent:0
+    (Njson.Obj
        [
-         ("id", Core.Json.Int i);
-         ("op", Core.Json.String "compile");
-         ("app", Core.Json.String "qaoa");
-         ("qubits", Core.Json.Int 4);
-         ("seed", Core.Json.Int (3000 + i));
+         ("id", Njson.Int i);
+         ("op", Njson.String "compile");
+         ("app", Njson.String "qaoa");
+         ("qubits", Njson.Int 4);
+         ("seed", Njson.Int (3000 + i));
        ])
 
 let percentile sorted p =
@@ -298,8 +301,8 @@ let serve_load_phase ~requests ~clients config =
         ~reply:(fun line ->
           latencies.(i) <- Service.Deadline.now_ms () -. start;
           let ok =
-            match Core.Json.of_string_result line with
-            | Ok j -> Core.Json.member "ok" j = Some (Core.Json.Bool true)
+            match Njson.of_string_result line with
+            | Ok j -> Njson.member "ok" j = Some (Njson.Bool true)
             | Error _ -> false
           in
           Mutex.lock lock;
@@ -359,7 +362,7 @@ let run_serve_load ~requests ~clients ~workers =
       string_of_int err;
     ]
   in
-  Core.Report.table
+  print_table
     ~header:[ "phase"; "req/s"; "p50 (ms)"; "p95 (ms)"; "p99 (ms)"; "errors" ]
     [
       row "cold" cold_tp cold_p50 cold_p95 cold_p99 cold_err;
@@ -370,6 +373,22 @@ let run_serve_load ~requests ~clients ~workers =
 
 (* ---------- CLI ---------- *)
 
+let usage_error msg =
+  let usage = Buffer.create 256 in
+  Printf.bprintf usage "%s\navailable:\n" msg;
+  List.iter
+    (fun (e : Core.Registry.entry) ->
+      Printf.bprintf usage "  %-8s %s\n" e.name e.description)
+    experiments;
+  Printf.bprintf usage "  %-8s kernel microbenchmarks\n  %-8s everything\n" "micro" "all";
+  Printf.bprintf usage
+    "flags: --paper (published scale), --json [-o FILE], --cache FILE (cold vs warm)\n\
+     subcommands: verify-json FILE (CI completeness check)\n\
+    \             serve-load [--requests N] [--clients N] [--workers N] \
+     (service throughput, cold vs warm cache)";
+  Obs.Log.error "%s" (Buffer.contents usage);
+  exit 1
+
 let () =
   (* NUOP_TRACE=FILE traces the whole bench run (JSONL, closed at exit);
      then warm the decomposition cache from NUOP_CACHE_FILE (if set) —
@@ -378,46 +397,35 @@ let () =
   (* surface a malformed NUOP_LOG_LEVEL even on runs that log nothing *)
   Obs.Log.check_env ();
   ignore (Decompose.Cache.warm_from_env ());
-  let args = Array.to_list Sys.argv |> List.tl in
-  let paper = List.mem "--paper" args in
-  let json = List.mem "--json" args in
-  let rec out_file = function
-    | "-o" :: f :: _ -> Some f
-    | _ :: rest -> out_file rest
-    | [] -> None
+  (* switches, flags that take a value, and positional names; an
+     unknown flag or a flag missing its value is a usage error *)
+  let switches = [ "--paper"; "--json" ]
+  and valued = [ "-o"; "--cache"; "--requests"; "--clients"; "--workers" ] in
+  let is_flag a = String.length a > 1 && a.[0] = '-' in
+  let rec parse names flags = function
+    | [] -> (List.rev names, List.rev flags)
+    | f :: rest when List.mem f switches -> parse names ((f, "") :: flags) rest
+    | f :: v :: rest when List.mem f valued && not (is_flag v) ->
+      parse names ((f, v) :: flags) rest
+    | f :: _ when List.mem f valued -> usage_error (Printf.sprintf "%s needs a value" f)
+    | a :: _ when is_flag a -> usage_error (Printf.sprintf "unknown flag %s" a)
+    | a :: rest -> parse (a :: names) flags rest
   in
-  let out = out_file args in
-  let rec cache_file = function
-    | "--cache" :: f :: _ -> Some f
-    | _ :: rest -> cache_file rest
-    | [] -> None
-  in
-  let cache = cache_file args in
-  (* value-bearing flags (serve-load sizing) *)
+  let names, flags = parse [] [] (Array.to_list Sys.argv |> List.tl) in
+  let paper = List.mem_assoc "--paper" flags in
+  let json = List.mem_assoc "--json" flags in
+  let out = List.assoc_opt "-o" flags in
+  let cache = List.assoc_opt "--cache" flags in
+  (* serve-load sizing *)
   let int_flag flag default =
-    let rec find = function
-      | f :: v :: _ when f = flag -> ( match int_of_string_opt v with
-        | Some n when n > 0 -> n
-        | _ ->
-          Obs.Log.error "bench: %s expects a positive integer, got %S" flag v;
-          exit 1)
-      | _ :: rest -> find rest
-      | [] -> default
-    in
-    find args
-  in
-  let names =
-    let rec strip = function
-      | "-o" :: _ :: rest -> strip rest
-      | "--cache" :: _ :: rest -> strip rest
-      | "--requests" :: _ :: rest -> strip rest
-      | "--clients" :: _ :: rest -> strip rest
-      | "--workers" :: _ :: rest -> strip rest
-      | a :: rest when String.length a >= 2 && String.sub a 0 2 = "--" -> strip rest
-      | a :: rest -> a :: strip rest
-      | [] -> []
-    in
-    strip args
+    match List.assoc_opt flag flags with
+    | None -> default
+    | Some v -> (
+      match int_of_string_opt v with
+      | Some n when n > 0 -> n
+      | _ ->
+        Obs.Log.error "bench: %s expects a positive integer, got %S" flag v;
+        exit 1)
   in
   let cfg = if paper then Core.Config.paper else Core.Config.quick in
   let scale = if paper then "paper" else "quick" in
@@ -453,7 +461,7 @@ let () =
           "bench.experiment"
           (fun () -> e.run cfg)
       in
-      Core.Report.print doc;
+      print_string (Core.Report.render_text doc);
       Printf.printf "\n[%s done in %.1f s]\n%!" e.name seconds
     in
     let run_one name =
@@ -482,22 +490,7 @@ let () =
         | "all" ->
           List.iter run_and_print experiments;
           run_ablation ()
-        | _ ->
-          let usage = Buffer.create 256 in
-          Printf.bprintf usage "unknown experiment %s\navailable:\n" name;
-          List.iter
-            (fun (e : Core.Registry.entry) ->
-              Printf.bprintf usage "  %-8s %s\n" e.name e.description)
-            experiments;
-          Printf.bprintf usage "  %-8s kernel microbenchmarks\n  %-8s everything\n"
-            "micro" "all";
-          Printf.bprintf usage
-            "flags: --paper (published scale), --json [-o FILE]\n\
-             subcommands: verify-json FILE (CI completeness check)\n\
-            \             serve-load [--requests N] [--clients N] [--workers N] \
-             (service throughput, cold vs warm cache)";
-          Obs.Log.error "%s" (Buffer.contents usage);
-          exit 1)
+        | _ -> usage_error (Printf.sprintf "unknown experiment %s" name))
     in
     (match names with
     | [] when json -> write_json ~out (artifact cfg ~scale experiments)

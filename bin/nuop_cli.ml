@@ -15,7 +15,9 @@
 
    compile/study/devices output is rendered by Service.Ops — the same
    functions the resident server embeds in its responses — so serving is
-   byte-identical to the one-shot CLI by construction.
+   byte-identical to the one-shot CLI by construction.  The compile,
+   study and `cache warm` flags are derived from the Service.Ops
+   parameter tables, so both front ends accept the same values.
 
    The global `--trace FILE` flag (any subcommand, also NUOP_TRACE=FILE)
    streams the run's telemetry — hierarchical spans, final counter
@@ -54,27 +56,33 @@ let known_gate_types = function
   end
   | s -> invalid_arg (Printf.sprintf "unknown gate type %s" s)
 
+(* The named unitary decompose, qasm and weyl act on (su4 draws from
+   --seed), and the hardware gate type they target. *)
+let target_term =
+  let target =
+    Arg.(
+      value & opt string "su4"
+      & info [ "target"; "t" ] ~docv:"UNITARY"
+          ~doc:"Unitary: su4 (random), swap, cz, iswap, zz:<angle>, cphase:<angle>.")
+  in
+  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
+  let resolve t seed = (t, known_targets (Linalg.Rng.create seed) t) in
+  Term.(const resolve $ target $ seed)
+
+let gate_arg =
+  Arg.(
+    value & opt string "cz"
+    & info [ "gate"; "g" ] ~docv:"GATE"
+        ~doc:
+          "Hardware gate type: cz, syc, iswap, sqrt_iswap, swap, xy_pi, \
+           fsim:<theta>,<phi>, full_fsim, full_xy.")
+
+let output_arg doc =
+  Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
+
 (* ---------- decompose ---------- *)
 
 let decompose_cmd =
-  let target =
-    Arg.(
-      value
-      & opt string "su4"
-      & info [ "target"; "t" ] ~docv:"UNITARY"
-          ~doc:
-            "Unitary to decompose: su4 (random), swap, cz, iswap, zz:<angle>, \
-             cphase:<angle>.")
-  in
-  let gate =
-    Arg.(
-      value
-      & opt string "cz"
-      & info [ "gate"; "g" ] ~docv:"GATE"
-          ~doc:
-            "Hardware gate type: cz, syc, iswap, sqrt_iswap, swap, xy_pi, \
-             fsim:<theta>,<phi>, full_fsim, full_xy.")
-  in
   let error_rate =
     Arg.(
       value
@@ -84,10 +92,7 @@ let decompose_cmd =
             "Hardware error rate per gate; switches to approximate (Eq 2) \
              decomposition.")
   in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
-  let run target gate error_rate seed =
-    let rng = Linalg.Rng.create seed in
-    let u = known_targets rng target in
+  let run (target, u) gate error_rate =
     let ty = known_gate_types gate in
     let d =
       match error_rate with
@@ -106,28 +111,20 @@ let decompose_cmd =
   in
   Cmd.v
     (Cmd.info "decompose" ~doc:"Decompose a two-qubit unitary with NuOp")
-    Term.(const run $ target $ gate $ error_rate $ seed)
+    Term.(const run $ target_term $ gate_arg $ error_rate)
 
 (* ---------- devices ---------- *)
-
-(* The single device lookup every subcommand shares: a --device argument
-   is either a registry name or a path to a JSON snapshot (as written by
-   `nuop devices dump`).  A registry miss lists the known names. *)
-let resolve_device = Service.Ops.resolve_device
-
-let device_arg =
-  Arg.(
-    value & opt string "sycamore"
-    & info [ "device" ] ~docv:"DEVICE"
-        ~doc:
-          "Device: a registry name (see $(b,nuop devices list)) or a JSON \
-           snapshot file written by $(b,nuop devices dump).")
 
 let qubits_opt_arg =
   Arg.(
     value & opt (some int) None
     & info [ "qubits"; "n" ] ~docv:"N"
         ~doc:"Qubit count for sized devices (registry default otherwise).")
+
+let device_pos default =
+  Arg.(
+    value & pos 0 string default
+    & info [] ~docv:"DEVICE" ~doc:"Registry name or snapshot file.")
 
 let devices_list () = print_string (Service.Ops.devices_list_text ())
 
@@ -137,13 +134,8 @@ let devices_list_cmd =
     Term.(const devices_list $ const ())
 
 let devices_show_cmd =
-  let spec =
-    Arg.(
-      value & pos 0 string "sycamore54"
-      & info [] ~docv:"DEVICE" ~doc:"Registry name or snapshot file.")
-  in
   let run spec qubits =
-    let d = resolve_device ?qubits spec in
+    let d = Service.Ops.resolve_device ?qubits spec in
     let topo = Device.topology d in
     Printf.printf "%s: %s\n" (Device.name d) (Device.description d);
     Printf.printf "  %d qubits, %d couplers\n" (Device.Topology.n_qubits topo)
@@ -175,21 +167,11 @@ let devices_show_cmd =
   in
   Cmd.v
     (Cmd.info "show" ~doc:"Print one device's calibration summary")
-    Term.(const run $ spec $ qubits_opt_arg)
+    Term.(const run $ device_pos "sycamore54" $ qubits_opt_arg)
 
 let devices_dump_cmd =
-  let spec =
-    Arg.(
-      value & pos 0 string "aspen8"
-      & info [] ~docv:"DEVICE" ~doc:"Registry name or snapshot file.")
-  in
-  let output =
-    Arg.(
-      value & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the snapshot to $(docv).")
-  in
   let run spec qubits output =
-    let d = resolve_device ?qubits spec in
+    let d = Service.Ops.resolve_device ?qubits spec in
     match output with
     | Some path ->
       Device.to_file path d;
@@ -199,7 +181,9 @@ let devices_dump_cmd =
   Cmd.v
     (Cmd.info "dump"
        ~doc:"Serialize a device to a JSON snapshot (re-loadable via --device FILE)")
-    Term.(const run $ spec $ qubits_opt_arg $ output)
+    Term.(
+      const run $ device_pos "aspen8" $ qubits_opt_arg
+      $ output_arg "Write the snapshot to $(docv).")
 
 let devices_cmd =
   Cmd.group
@@ -207,95 +191,52 @@ let devices_cmd =
     (Cmd.info "devices" ~doc:"List, inspect and snapshot the modelled devices")
     [ devices_list_cmd; devices_show_cmd; devices_dump_cmd ]
 
-(* ---------- study ---------- *)
+(* ---------- study / compile ---------- *)
+
+(* One Cmdliner argument per entry of an op's parameter table (entries
+   without flags are RPC-only), collected into the JSON body a
+   nuop-rpc/1 request would carry — the op then validates it exactly as
+   the server does. *)
+let body_term table =
+  let arg (type a) (p : a Service.Ops.param) =
+    let info = Arg.info p.flags ~docv:(String.uppercase_ascii p.key) ~doc:p.doc in
+    let field to_json a = Term.app (Term.const to_json) (Arg.value (a info)) in
+    match p.kind with
+    | Str d -> field (fun s -> Njson.String s) (Arg.opt Arg.string d)
+    | Int { default; _ } -> field (fun i -> Njson.Int i) (Arg.opt Arg.int default)
+    | Flag -> field (fun b -> Njson.Bool b) Arg.flag
+    | Text ->
+      field
+        (Option.fold ~none:Njson.Null ~some:(fun s -> Njson.String s))
+        (Arg.opt (Arg.some Arg.string) None)
+  in
+  List.fold_right
+    (fun (Service.Ops.P p) rest ->
+      if p.flags = [] then rest
+      else Term.(const (fun v kvs -> (p.key, v) :: kvs) $ arg p $ rest))
+    table (Term.const [])
+  |> Term.app (Term.const (fun kvs -> Njson.Obj kvs))
+
+let ok_or_fail = function Ok v -> v | Error e -> invalid_arg e.Service.Protocol.message
 
 let study_cmd =
-  let isa_arg =
-    Arg.(
-      value & opt string "G7"
-      & info [ "isa" ] ~docv:"ISA" ~doc:"Instruction set (Table II name, e.g. S1, G7, R5, Full_fSim).")
-  in
-  let app_arg =
-    Arg.(
-      value & opt string "qaoa"
-      & info [ "app" ] ~docv:"APP" ~doc:"Benchmark: qv, qaoa, qft, fh.")
-  in
-  let qubits = Arg.(value & opt int 4 & info [ "qubits"; "n" ] ~doc:"Circuit width.") in
-  let count = Arg.(value & opt int 5 & info [ "count" ] ~doc:"Number of random circuits.") in
-  let seed = Arg.(value & opt int 2021 & info [ "seed" ] ~doc:"Random seed.") in
-  let run isa_name app qubits count device seed =
-    let isa = Isa.Set.find_exn isa_name in
-    let device = resolve_device ~qubits:(max 4 qubits) device in
-    let metric = Service.Ops.study_metric app in
-    let circuits = Service.Ops.study_circuits ~app ~qubits ~count ~seed in
-    let text, _ = Service.Ops.study_text ~device ~isa ~metric circuits in
+  let run body =
+    let text, _, _ = ok_or_fail (Service.Ops.score body) in
     print_string text
   in
   Cmd.v
     (Cmd.info "study" ~doc:"Compile and simulate a benchmark against an instruction set")
-    Term.(const run $ isa_arg $ app_arg $ qubits $ count $ device_arg $ seed)
-
-(* ---------- compile ---------- *)
-
-(* One benchmark-circuit builder shared by compile, `cache warm` and the
-   service, so a cache warmed for a benchmark is warmed with exactly the
-   curves that compiling it needs. *)
-let benchmark_circuit = Service.Ops.benchmark_circuit
+    Term.(const run $ body_term Service.Ops.score_params)
 
 let compile_cmd =
-  let isa_arg =
-    Arg.(
-      value & opt string "G7"
-      & info [ "isa" ] ~docv:"ISA" ~doc:"Instruction set (Table II name, e.g. S1, G7, R5, Full_fSim).")
-  in
-  let app_arg =
-    Arg.(
-      value & opt string "qaoa"
-      & info [ "app" ] ~docv:"APP" ~doc:"Benchmark: qv, qaoa, qft, fh.")
-  in
-  let qubits = Arg.(value & opt int 4 & info [ "qubits"; "n" ] ~doc:"Circuit width.") in
-  let seed = Arg.(value & opt int 2021 & info [ "seed" ] ~doc:"Random seed.") in
-  let optimize =
-    Arg.(
-      value & flag
-      & info [ "optimize"; "O" ]
-          ~doc:"Run the optimized stack (1Q-merge and trivial-gate elision peepholes).")
-  in
-  let trace =
-    Arg.(
-      value & flag
-      & info [ "trace-passes" ]
-          ~doc:
-            "Print a per-pass metrics table: wall time, 1Q/2Q/SWAP/depth deltas and \
-             decomposition-cache hits for every pass in the stack.")
-  in
-  let print_circuit =
-    Arg.(value & flag & info [ "print" ] ~doc:"Print the compiled circuit.")
-  in
-  let print_schedule =
-    Arg.(
-      value & flag
-      & info [ "schedule" ]
-          ~doc:
-            "Print the timed executable: one row per ASAP moment with start time, \
-             duration (calibrated per gate type) and instructions.")
-  in
-  let run isa_name app qubits device seed optimize trace print_circuit print_schedule =
-    let isa = Isa.Set.find_exn isa_name in
-    let device = resolve_device ~qubits:(max 4 qubits) device in
-    let circuit = benchmark_circuit ~app ~qubits ~seed in
-    let text, _ =
-      Service.Ops.compile_text ~optimize ~trace_passes:trace ~print_schedule
-        ~print_circuit ~device ~isa ~isa_name ~app circuit
-    in
+  let run body =
+    let _, text, _ = ok_or_fail (Service.Ops.compile body) in
     print_string text
   in
   Cmd.v
     (Cmd.info "compile"
        ~doc:"Compile a benchmark circuit through the pass manager")
-    Term.(
-      const run $ isa_arg $ app_arg $ qubits $ device_arg $ seed $ optimize $ trace
-      $ print_circuit $ print_schedule)
+    Term.(const run $ body_term Service.Ops.compile_params)
 
 (* ---------- cache ---------- *)
 
@@ -310,29 +251,23 @@ let cache_file_pos =
     & info [] ~docv:"FILE"
         ~doc:"Curve-snapshot file; defaults to $(b,NUOP_CACHE_FILE) when unset.")
 
-let required_cache_file = function
-  | Some f -> f
-  | None -> (
-    match Sys.getenv_opt Decompose.Cache.env_var with
-    | Some v -> (
-      match Decompose.Cache.validate_env_file v with
-      | Ok f -> f
-      | Error reason ->
-        invalid_arg
-          (Printf.sprintf "invalid %s=%S (%s)" Decompose.Cache.env_var v reason))
-    | None ->
-      invalid_arg
-        (Printf.sprintf "no cache file: pass FILE or set %s" Decompose.Cache.env_var))
+(* FILE, else the file NUOP_CACHE_FILE names *)
+let cache_file file =
+  let env = Decompose.Cache.env_var in
+  match (file, Sys.getenv_opt env) with
+  | Some f, _ -> Ok f
+  | None, Some v ->
+    Result.map_error
+      (Printf.sprintf "invalid %s=%S (%s)" env v)
+      (Decompose.Cache.validate_env_file v)
+  | None, None -> Error (Printf.sprintf "no cache file: pass FILE or set %s" env)
+
+let required_cache_file file =
+  match cache_file file with Ok f -> f | Error msg -> invalid_arg msg
 
 let cache_stats_cmd =
   let run file =
-    (match
-       match file with
-       | Some f -> Some f
-       | None ->
-         Option.bind (Sys.getenv_opt Decompose.Cache.env_var) (fun v ->
-             Result.to_option (Decompose.Cache.validate_env_file v))
-     with
+    (match Result.to_option (cache_file file) with
     | Some f -> begin
       match Decompose.Persist.load f with
       | Ok entries ->
@@ -367,46 +302,25 @@ let cache_stats_cmd =
     Term.(const run $ cache_file_pos)
 
 let cache_warm_cmd =
-  let isa_arg =
-    Arg.(
-      value & opt string "G7"
-      & info [ "isa" ] ~docv:"ISA" ~doc:"Instruction set to warm curves for.")
-  in
-  let app_arg =
-    Arg.(
-      value & opt string "qaoa"
-      & info [ "app" ] ~docv:"APP" ~doc:"Benchmark: qv, qaoa, qft, fh.")
-  in
-  let qubits = Arg.(value & opt int 4 & info [ "qubits"; "n" ] ~doc:"Circuit width.") in
-  let seed = Arg.(value & opt int 2021 & info [ "seed" ] ~doc:"Random seed.") in
-  let output =
-    Arg.(
-      value & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Snapshot file to write (default: $(b,NUOP_CACHE_FILE)).")
-  in
-  let run isa_name app qubits device seed output =
+  let output = output_arg "Snapshot file to write (default: $(b,NUOP_CACHE_FILE))." in
+  let run body output =
     let file = required_cache_file output in
     (* merge any existing snapshot first: disk entries never clobber the
        in-memory table, so re-warming an existing file only grows it *)
     let loaded =
       if Sys.file_exists file then Decompose.Cache.load_from_file file else 0
     in
-    let isa = Isa.Set.find_exn isa_name in
-    let device = resolve_device ~qubits:(max 4 qubits) device in
-    let circuit = benchmark_circuit ~app ~qubits ~seed in
-    let compiled, _ = Compiler.Pipeline.compile_with_metrics ~device ~isa circuit in
-    ignore compiled;
+    let label, _, _ = ok_or_fail (Service.Ops.compile body) in
     let saved = Decompose.Cache.save_to_file file in
-    Printf.printf "%s: %d curves (%d loaded, %d computed by %s/%s)\n" file saved
-      loaded (saved - loaded) app isa_name
+    Printf.printf "%s: %d curves (%d loaded, %d computed by %s)\n" file saved loaded
+      (saved - loaded) label
   in
   Cmd.v
     (Cmd.info "warm"
        ~doc:
          "Compile a benchmark to populate the curve cache and save the snapshot \
           (merging with the file's previous contents)")
-    Term.(const run $ isa_arg $ app_arg $ qubits $ device_arg $ seed $ output)
+    Term.(const run $ body_term Service.Ops.warm_params $ output)
 
 let cache_dump_cmd =
   let run file =
@@ -502,28 +416,8 @@ let calibration_cmd =
 (* ---------- qasm ---------- *)
 
 let qasm_cmd =
-  let target =
-    Arg.(
-      value & opt string "su4"
-      & info [ "target"; "t" ] ~docv:"UNITARY"
-          ~doc:"Unitary to compile: su4, swap, cz, iswap, zz:<angle>, cphase:<angle>.")
-  in
-  let gate =
-    Arg.(
-      value & opt string "cz"
-      & info [ "gate"; "g" ] ~docv:"GATE" ~doc:"Hardware gate type (see decompose).")
-  in
-  let output =
-    Arg.(
-      value & opt (some string) None
-      & info [ "output"; "o" ] ~docv:"FILE" ~doc:"Write the OpenQASM 2.0 file here.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
-  let run target gate output seed =
-    let rng = Linalg.Rng.create seed in
-    let u = known_targets rng target in
-    let ty = known_gate_types gate in
-    let d = Decompose.Nuop.decompose_exact ty ~target:u in
+  let run (_, u) gate output =
+    let d = Decompose.Nuop.decompose_exact (known_gate_types gate) ~target:u in
     let circuit = Decompose.Nuop.to_circuit d ~n_qubits:2 ~qubits:(0, 1) in
     match output with
     | Some path ->
@@ -533,21 +427,13 @@ let qasm_cmd =
   in
   Cmd.v
     (Cmd.info "qasm" ~doc:"Decompose a unitary and export OpenQASM 2.0")
-    Term.(const run $ target $ gate $ output $ seed)
+    Term.(
+      const run $ target_term $ gate_arg $ output_arg "Write the OpenQASM 2.0 file here.")
 
 (* ---------- weyl ---------- *)
 
 let weyl_cmd =
-  let target =
-    Arg.(
-      value & opt string "su4"
-      & info [ "target"; "t" ] ~docv:"UNITARY"
-          ~doc:"Unitary to analyse: su4, swap, cz, iswap, zz:<angle>, cphase:<angle>.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
-  let run target seed =
-    let rng = Linalg.Rng.create seed in
-    let u = known_targets rng target in
+  let run (_, u) =
     Printf.printf "minimal CNOT/CZ count: %d\n" (Decompose.Weyl.cnot_count u);
     let g1, g2 = Decompose.Weyl.makhlin_invariants u in
     Printf.printf "Makhlin invariants: G1 = %.6f%+.6fi, G2 = %.6f\n" g1.Complex.re
@@ -558,9 +444,28 @@ let weyl_cmd =
   in
   Cmd.v
     (Cmd.info "weyl" ~doc:"Weyl-chamber analysis of a two-qubit unitary")
-    Term.(const run $ target $ seed)
+    Term.(const run $ target_term)
 
-(* ---------- experiment ---------- *)
+(* ---------- experiment / design ---------- *)
+
+let paper_arg = Arg.(value & flag & info [ "paper" ] ~doc:"Paper-scale sample counts.")
+
+let json_arg =
+  Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON instead of text.")
+
+let config paper = if paper then Core.Config.paper else Core.Config.quick
+
+(* the report as text or JSON, on stdout or into a file *)
+let emit_report ~name ~description json output doc =
+  let s =
+    if json then Njson.to_string (Core.Report.to_json ~name ~description doc) ^ "\n"
+    else Core.Report.render_text doc
+  in
+  match output with
+  | None ->
+    print_string s;
+    flush stdout
+  | Some file -> Out_channel.with_open_text file (fun oc -> output_string oc s)
 
 let experiment_cmd =
   let name_arg =
@@ -571,46 +476,19 @@ let experiment_cmd =
             (Printf.sprintf "One of: %s."
                (String.concat ", " Core.Registry.names)))
   in
-  let paper = Arg.(value & flag & info [ "paper" ] ~doc:"Paper-scale sample counts.") in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON instead of text.")
-  in
-  let output =
-    Arg.(
-      value & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the report to $(docv).")
-  in
   let run name paper json output =
-    let cfg = if paper then Core.Config.paper else Core.Config.quick in
     (* case-insensitive lookup; a miss raises Invalid_argument listing
        every known experiment (caught by the entry point below) *)
     let e = Core.Registry.find_exn name in
-    let doc = e.Core.Registry.run cfg in
-    let s =
-      if json then
-        Core.Json.to_string
-          (Core.Report.to_json ~name:e.Core.Registry.name
-             ~description:e.Core.Registry.description doc)
-        ^ "\n"
-      else Core.Report.render_text doc
-    in
-    match output with
-    | None ->
-      print_string s;
-      flush stdout
-    | Some file ->
-      let oc = open_out file in
-      output_string oc s;
-      close_out oc
+    emit_report ~name:e.name ~description:e.description json output (e.run (config paper))
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Run one of the paper's table/figure reproductions")
-    Term.(const run $ name_arg $ paper $ json $ output)
-
-(* ---------- design ---------- *)
+    Term.(
+      const run $ name_arg $ paper_arg $ json_arg
+      $ output_arg "Write the report to $(docv).")
 
 let design_cmd =
-  let paper = Arg.(value & flag & info [ "paper" ] ~doc:"Paper-scale sample counts.") in
   let smoke =
     Arg.(
       value & flag
@@ -622,40 +500,19 @@ let design_cmd =
       value & opt int 54
       & info [ "qubits" ] ~docv:"N" ~doc:"Device size for the calibration-cost model.")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON instead of text.")
-  in
-  let output =
-    Arg.(
-      value & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the report to $(docv).")
-  in
   let run paper smoke qubits json output =
-    let cfg = if paper then Core.Config.paper else Core.Config.quick in
-    let doc = Core.Design.doc ~cfg ~n_qubits:qubits ~smoke () in
-    let s =
-      if json then
-        Core.Json.to_string
-          (Core.Report.to_json ~name:"design"
-             ~description:"searched instruction sets (Pareto frontier)" doc)
-        ^ "\n"
-      else Core.Report.render_text doc
-    in
-    match output with
-    | None ->
-      print_string s;
-      flush stdout
-    | Some file ->
-      let oc = open_out file in
-      output_string oc s;
-      close_out oc
+    emit_report ~name:"design" ~description:"searched instruction sets (Pareto frontier)"
+      json output
+      (Core.Design.doc ~cfg:(config paper) ~n_qubits:qubits ~smoke ())
   in
   Cmd.v
     (Cmd.info "design"
        ~doc:
          "Search a candidate gate-type pool for the expressivity-vs-calibration \
           Pareto frontier of instruction sets")
-    Term.(const run $ paper $ smoke $ qubits $ json $ output)
+    Term.(
+      const run $ paper_arg $ smoke $ qubits $ json_arg
+      $ output_arg "Write the report to $(docv).")
 
 (* ---------- trace ---------- *)
 
@@ -799,9 +656,8 @@ let request_cmd =
         in
         let fields =
           (("id", Njson.String id) :: ("op", Njson.String op)
-          :: (match deadline with
-             | Some ms -> [ ("deadline_ms", Njson.Float ms) ]
-             | None -> []))
+          :: Option.to_list
+               (Option.map (fun ms -> ("deadline_ms", Njson.Float ms)) deadline))
           @ body
         in
         Njson.to_string ~indent:0 (Njson.Obj fields)

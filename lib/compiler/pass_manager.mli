@@ -29,8 +29,8 @@ val run : Pass.t list -> Pass.Context.t -> pass_metrics list
 
 val total_time : pass_metrics list -> float
 
-(** Rendering helpers: a header and rows for [Core.Report.table] (also
-    used by the CLI's [compile --trace-passes]). *)
+(** Rendering helpers: a header and rows for a [Core.Report.Table] block
+    (also used by the CLI's [compile --trace-passes]). *)
 
 val header : string list
 val rows : pass_metrics list -> string list list

@@ -2,6 +2,3 @@
 
 val doc : ?cfg:Config.t -> unit -> Report.doc
 (** Build the experiment's report document (runs the experiment). *)
-
-val run : ?cfg:Config.t -> unit -> unit
-(** [doc] rendered as text on stdout (the historical behavior). *)

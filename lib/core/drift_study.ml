@@ -90,5 +90,3 @@ let doc ?(cfg = Config.default) () =
     "\nShape check: drift only inflates stored errors, so XED and ESP degrade\n\
      monotonically with age while recalibration restores fresh-grade scores.\n";
   Report.Builder.doc b
-
-let run ?cfg () = Report.print (doc ?cfg ())

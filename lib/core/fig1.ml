@@ -18,5 +18,3 @@ let doc ?cfg:(_ = Config.default) () =
       [ "design guidance output"; "core.Fig9 / Fig10 / Fig11" ];
     ];
   Report.Builder.doc b
-
-let run ?cfg () = Report.print (doc ?cfg ())

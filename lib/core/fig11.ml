@@ -85,5 +85,3 @@ let doc ?(cfg = Config.default) () =
   panel_a b;
   panel_b b cfg;
   Report.Builder.doc b
-
-let run ?cfg () = Report.print (doc ?cfg ())

@@ -33,5 +33,3 @@ let doc ?(cfg = Config.default) () =
     "\nPaper shape check: QV needs 3 gates with either type; ZZ needs 2 —\n\
      the CZ gate is more expressive for QAOA, sqrt(iSWAP) for QV.\n";
   Report.Builder.doc b
-
-let run ?cfg () = Report.print (doc ?cfg ())

@@ -18,5 +18,3 @@ let doc ?cfg:(_ = Config.default) () =
   Report.Builder.table b ~header:[ "edge"; "CZ fid"; "XY(pi) fid"; "best" ] rows;
   Report.Builder.textf b "\n(synthesized to match Fig 3's spread; see DESIGN.md)\n";
   Report.Builder.doc b
-
-let run ?cfg () = Report.print (doc ?cfg ())

@@ -34,5 +34,3 @@ let doc ?(cfg = Config.default) () =
     (Gates.Gate_type.param_count Gates.Gate_type.Fsim_family)
     (Decompose.Template.param_count template);
   Report.Builder.doc b
-
-let run ?cfg () = Report.print (doc ?cfg ())

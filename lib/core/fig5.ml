@@ -69,5 +69,3 @@ let doc ?(cfg = Config.default) () =
      %d+%d gates with higher overall fidelity — the Fig 5 effect.\n"
     exact.Decompose.Nuop.layers d23.Decompose.Nuop.layers d34.Decompose.Nuop.layers;
   Report.Builder.doc b
-
-let run ?cfg () = Report.print (doc ?cfg ())

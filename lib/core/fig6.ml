@@ -97,5 +97,3 @@ let doc ?(cfg = Config.default) () =
      SYC per QV unitary); approximation (95-99%%) trims a further ~1.05-1.33x;\n\
      Cirq has no generic sqrt(iSWAP) route (n/s).\n";
   Report.Builder.doc b
-
-let run ?cfg () = Report.print (doc ?cfg ())

@@ -81,5 +81,3 @@ let doc ?(cfg = Config.default) () =
     "\nPaper shape check: QV ~2 near fSim(5pi/12,0) and fSim(pi/6,pi); QAOA ~2 near\n\
      iSWAP/CZ; SWAP costs 3 almost everywhere but 1 at fSim(pi/2,pi).\n";
   Report.Builder.doc b
-
-let run ?cfg () = Report.print (doc ?cfg ())

@@ -64,5 +64,3 @@ let doc ?(cfg = Config.default) () =
     "\nPaper shape check: R-sets beat the single-type sets; R5 (with native SWAP)\n\
      approaches Full_XY; on QV only multi-type sets cross the 2/3 threshold.\n";
   Report.Builder.doc b
-
-let run ?cfg () = Report.print (doc ?cfg ())

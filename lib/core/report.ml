@@ -9,11 +9,7 @@
      to anyone reading the bench logs;
    - [to_json] emits the machine-readable form used by
      `bench all --json` / `nuop experiment --json` to produce BENCH
-     artifacts that track the reproduction over time.
-
-   The legacy direct-print helpers ([heading], [table], ...) remain for
-   interactive CLI subcommands; they render a single block through the
-   same text renderer. *)
+     artifacts that track the reproduction over time. *)
 
 type block =
   | Heading of string
@@ -112,65 +108,61 @@ let render_text doc =
   List.iter (render_block buf) doc.blocks;
   Buffer.contents buf
 
-let print doc =
-  print_string (render_text doc);
-  flush stdout
-
 (* ---------- JSON renderer ---------- *)
 
-let json_strings items = Json.List (List.map (fun s -> Json.String s) items)
-let json_floats items = Json.List (List.map (fun v -> Json.Float v) items)
+let json_strings items = Njson.List (List.map (fun s -> Njson.String s) items)
+let json_floats items = Njson.List (List.map (fun v -> Njson.Float v) items)
 
 let block_to_json = function
-  | Heading s -> Json.Obj [ ("type", Json.String "heading"); ("text", Json.String s) ]
+  | Heading s -> Njson.Obj [ ("type", Njson.String "heading"); ("text", Njson.String s) ]
   | Subheading s ->
-    Json.Obj [ ("type", Json.String "subheading"); ("text", Json.String s) ]
-  | Text s -> Json.Obj [ ("type", Json.String "text"); ("text", Json.String s) ]
+    Njson.Obj [ ("type", Njson.String "subheading"); ("text", Njson.String s) ]
+  | Text s -> Njson.Obj [ ("type", Njson.String "text"); ("text", Njson.String s) ]
   | Table { header; rows } ->
-    Json.Obj
+    Njson.Obj
       [
-        ("type", Json.String "table");
+        ("type", Njson.String "table");
         ("header", json_strings header);
-        ("rows", Json.List (List.map json_strings rows));
+        ("rows", Njson.List (List.map json_strings rows));
       ]
   | Series { name; points } ->
-    Json.Obj
+    Njson.Obj
       [
-        ("type", Json.String "series");
-        ("name", Json.String name);
-        ("points", Json.List (List.map (fun (x, y) -> json_floats [ x; y ]) points));
+        ("type", Njson.String "series");
+        ("name", Njson.String name);
+        ("points", Njson.List (List.map (fun (x, y) -> json_floats [ x; y ]) points));
       ]
   | Bars { width = _; max_value; rows } ->
-    Json.Obj
+    Njson.Obj
       [
-        ("type", Json.String "bars");
-        ("max_value", Json.Float max_value);
+        ("type", Njson.String "bars");
+        ("max_value", Njson.Float max_value);
         ( "rows",
-          Json.List
+          Njson.List
             (List.map
                (fun (label, v) ->
-                 Json.Obj [ ("label", Json.String label); ("value", Json.Float v) ])
+                 Njson.Obj [ ("label", Njson.String label); ("value", Njson.Float v) ])
                rows) );
       ]
   | Heatmap { theta_axis; phi_axis; cells } ->
-    Json.Obj
+    Njson.Obj
       [
-        ("type", Json.String "heatmap");
+        ("type", Njson.String "heatmap");
         ("theta_axis", json_floats theta_axis);
         ("phi_axis", json_floats phi_axis);
-        ("cells", Json.List (List.map json_floats cells));
+        ("cells", Njson.List (List.map json_floats cells));
       ]
 
 let to_json ?name ?description ?seconds doc =
   let optional key v f = match v with None -> [] | Some v -> [ (key, f v) ] in
-  Json.Obj
-    (optional "name" name (fun s -> Json.String s)
-    @ optional "description" description (fun s -> Json.String s)
-    @ optional "seconds" seconds (fun s -> Json.Float s)
+  Njson.Obj
+    (optional "name" name (fun s -> Njson.String s)
+    @ optional "description" description (fun s -> Njson.String s)
+    @ optional "seconds" seconds (fun s -> Njson.Float s)
     @ [
         ( "metrics",
-          Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) doc.metrics) );
-        ("blocks", Json.List (List.map block_to_json doc.blocks));
+          Njson.Obj (List.map (fun (k, v) -> (k, Njson.Float v)) doc.metrics) );
+        ("blocks", Njson.List (List.map block_to_json doc.blocks));
       ])
 
 (* ---------- document builder ---------- *)
@@ -212,14 +204,10 @@ module Builder = struct
   let doc b = { blocks = List.rev b.rev_blocks; metrics = List.rev b.rev_metrics }
 end
 
-(* ---------- legacy direct-print API (interactive CLI paths) ---------- *)
-
 let block_to_string block =
   let buf = Buffer.create 256 in
   render_block buf block;
   Buffer.contents buf
-
-let print_block block = print_string (block_to_string block)
 
 (* Collision-free artifact naming: BENCH_<date>.json from the same UTC
    day must never silently clobber an earlier run, so the second run of
@@ -236,13 +224,3 @@ let fresh_path path =
     in
     next 2
   end
-
-let heading title = print_block (Heading title)
-let subheading title = print_block (Subheading title)
-let table ~header rows = print_block (Table { header; rows })
-
-let heatmap ~theta_axis ~phi_axis ~cell =
-  let cells =
-    List.map (fun theta -> List.map (fun phi -> cell ~theta ~phi) phi_axis) theta_axis
-  in
-  print_block (Heatmap { theta_axis; phi_axis; cells })

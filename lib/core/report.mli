@@ -57,10 +57,7 @@ end
 val render_text : doc -> string
 (** Byte-identical to the pre-document printed output. *)
 
-val print : doc -> unit
-(** [print d] writes [render_text d] to stdout and flushes. *)
-
-val to_json : ?name:string -> ?description:string -> ?seconds:float -> doc -> Json.t
+val to_json : ?name:string -> ?description:string -> ?seconds:float -> doc -> Njson.t
 (** Structured form: name/description/wall-time (when given), the
     headline metrics object, and every block as a typed JSON node. *)
 
@@ -73,28 +70,13 @@ val bar : ?width:int -> max_value:float -> float -> string
 val heat_digit : float -> string
 val timer : unit -> unit -> float
 
-(** {1 Legacy direct-print API}
-
-    Single blocks rendered straight to stdout — used by interactive CLI
-    subcommands ([nuop devices], [nuop compile --trace-passes], ...). *)
-
 val block_to_string : block -> string
 (** One block rendered exactly as the text renderer would print it —
-    the string form behind the direct-print API below, shared with the
-    service layer so served responses can embed CLI-identical tables. *)
+    the service layer uses it so served responses embed CLI-identical
+    tables. *)
 
 val fresh_path : string -> string
 (** [fresh_path p] is [p] when no file exists there, else the first of
     [stem-2.ext], [stem-3.ext], ... that does not exist — artifact
     writers use it so a same-day rerun never silently overwrites an
     earlier artifact. *)
-
-val heading : string -> unit
-val subheading : string -> unit
-val table : header:string list -> string list list -> unit
-
-val heatmap :
-  theta_axis:float list ->
-  phi_axis:float list ->
-  cell:(theta:float -> phi:float -> float) ->
-  unit

@@ -58,10 +58,6 @@ val results_table : metric:metric -> result list -> Report.block
 (** The results as a typed table block for a {!Report.doc}. *)
 
 val add_results : Report.Builder.t -> metric:metric -> result list -> unit
-val print_results : metric:metric -> result list -> unit
 
 val add_pass_metrics :
   Report.Builder.t -> Compiler.Pass_manager.pass_metrics list -> unit
-
-val print_pass_metrics : Compiler.Pass_manager.pass_metrics list -> unit
-(** Per-pass metrics as a {!Report.table}. *)

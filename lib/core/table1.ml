@@ -30,5 +30,3 @@ let doc ?cfg:(_ = Config.default) () =
   let id2 = Decompose.Weyl.locally_equivalent Gates.Twoq.cz (Gates.Twoq.fsim 0.0 Float.pi) in
   Report.Builder.textf b "XY(theta) ~ fSim(theta/2, 0): %b\nCZ = fSim(0, pi): %b\n" id1 id2;
   Report.Builder.doc b
-
-let run ?cfg () = Report.print (doc ?cfg ())

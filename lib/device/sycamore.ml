@@ -99,7 +99,10 @@ let device ?(seed = 23) ?(vary = true) ?(types = default_types)
 let line_device ?(seed = 23) ?(vary = true) ?(types = default_types)
     ?(family_error_scale = 1.0) ?(mu = err_mu) ?(sigma = err_sigma)
     ?(oneq = oneq_error_rate) k =
-  assert (k >= 2 && k <= 30);
+  if k < 2 || k > 30 then
+    invalid_arg
+      (Printf.sprintf "Sycamore.line_device: %d qubits is outside the supported range 2..30"
+         k);
   let topology = Topology.line k in
   let rng = Linalg.Rng.create seed in
   let edges = Topology.edges topology in

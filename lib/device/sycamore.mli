@@ -47,4 +47,5 @@ val line_device :
   int ->
   Calibration.t
 (** A k-qubit line with Sycamore's error model — the placement used for
-    the 3-6 qubit benchmark simulations. *)
+    the 3-6 qubit benchmark simulations.  Raises [Invalid_argument]
+    unless [2 <= k <= 30]. *)

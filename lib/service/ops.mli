@@ -6,16 +6,45 @@
     the served [compile]/[score]/[devices] results embed the same
     strings in their ["output"] field — so a served response equals the
     one-shot CLI output whatever worker produced it and in whatever
-    order requests completed. *)
+    order requests completed.
+
+    The compile/score parameters are defined once, in the tables below;
+    the CLI maps each entry to a flag, builds the body the server would
+    get and runs the same op. *)
+
+type 'a param = { key : string; flags : string list; doc : string; kind : 'a Protocol.kind }
+(** [key] is the JSON key; [flags] the CLI names ([[]]: RPC only). *)
+
+type entry = P : 'a param -> entry
+
+val compile_params : entry list
+(** isa, app, qubits, device, seed, optimize, trace_passes, schedule, print, qasm *)
+
+val score_params : entry list
+(** isa, app, qubits (at most 12), device, seed, count *)
+
+val warm_params : entry list
+(** what [nuop cache warm] takes: isa, app, qubits, device, seed *)
+
+val compile :
+  Njson.t -> (string * string * Compiler.Pipeline.compiled, Protocol.err) result
+(** Check the body against [compile_params] ({!Protocol.unknown_field},
+    {!Protocol.field}), the app's narrowest width and that the circuit
+    fits the device, then compile: an ["app/isa"] label, the [nuop
+    compile] text and the result. *)
+
+val score :
+  Njson.t -> (string * Core.Study.metric * Core.Study.result, Protocol.err) result
+(** The same checks against [score_params], then the [nuop study] text,
+    the app's metric and the suite result. *)
 
 val resolve_device : ?qubits:int -> string -> Device.t
 (** A [--device]-style spec: a registry name (case-insensitive) or a
     path to a JSON snapshot written by [nuop devices dump]. *)
 
 val benchmark_circuit : app:string -> qubits:int -> seed:int -> Qcir.Circuit.t
-(** The generator spec shared by compile, [cache warm] and the service:
-    one benchmark circuit ([qv], [qaoa], [qft], [fh]) at the given width
-    and seed. *)
+(** One benchmark circuit ([qv], [qaoa], [qft], [fh]) at the given width
+    and seed — the circuit compile and [cache warm] use. *)
 
 val study_metric : string -> Core.Study.metric
 (** The metric each benchmark app is scored under ([qv] → Hop, [qaoa] →

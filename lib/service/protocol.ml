@@ -74,40 +74,39 @@ let response_error ~id { kind; message } =
              ] );
        ])
 
-(* ---------- body accessors ---------- *)
+(* ---------- body fields ---------- *)
 
-let str_field ?default body key =
-  match Njson.member key body with
-  | None | Some Njson.Null -> (
-    match default with
-    | Some d -> Ok d
-    | None -> Error (err Bad_request "missing required string field %S" key))
-  | Some (Njson.String s) -> Ok s
-  | Some _ -> Error (err Bad_request "field %S must be a string" key)
+type _ kind =
+  | Str : string -> string kind
+  | Int : { default : int; min : int; max : int } -> int kind
+  | Flag : bool kind
+  | Text : string option kind
 
-let int_field ?default body key =
-  match Njson.member key body with
-  | None | Some Njson.Null -> (
-    match default with
-    | Some d -> Ok d
-    | None -> Error (err Bad_request "missing required integer field %S" key))
-  | Some (Njson.Int i) -> Ok i
-  | Some _ -> Error (err Bad_request "field %S must be an integer" key)
+let field (type a) key (kind : a kind) body : (a, err) result =
+  let must what = Error (err Bad_request "field %S must be %s" key what) in
+  match (kind, Njson.member key body) with
+  | Str d, (None | Some Njson.Null) -> Ok d
+  | Str _, Some (Njson.String s) -> Ok s
+  | Text, (None | Some Njson.Null) -> Ok None
+  | Text, Some (Njson.String s) -> Ok (Some s)
+  | (Str _ | Text), Some _ -> must "a string"
+  | Int { default; _ }, (None | Some Njson.Null) -> Ok default
+  | Int { min; max; _ }, Some (Njson.Int i) when i >= min && i <= max -> Ok i
+  | Int { min; max; _ }, Some (Njson.Int i) when max = max_int ->
+    Error (err Bad_request "field %S must be >= %d (got %d)" key min i)
+  | Int { min; max; _ }, Some (Njson.Int i) ->
+    Error (err Bad_request "field %S must be in %d..%d (got %d)" key min max i)
+  | Int _, Some _ -> must "an integer"
+  | Flag, (None | Some Njson.Null) -> Ok false
+  | Flag, Some (Njson.Bool b) -> Ok b
+  | Flag, Some _ -> must "a boolean"
 
-let bool_field ?default body key =
-  match Njson.member key body with
-  | None | Some Njson.Null -> (
-    match default with
-    | Some d -> Ok d
-    | None -> Error (err Bad_request "missing required boolean field %S" key))
-  | Some (Njson.Bool b) -> Ok b
-  | Some _ -> Error (err Bad_request "field %S must be a boolean" key)
-
-let opt_str_field body key =
-  match Njson.member key body with
-  | None | Some Njson.Null -> Ok None
-  | Some (Njson.String s) -> Ok (Some s)
-  | Some _ -> Error (err Bad_request "field %S must be a string" key)
+let unknown_field ~known body =
+  let fields = match body with Njson.Obj fields -> fields | _ -> [] in
+  let allowed k = List.mem k known || List.mem k [ "id"; "op"; "deadline_ms" ] in
+  List.find_opt (fun (k, _) -> not (allowed k)) fields
+  |> Option.map (fun (k, _) ->
+         err Bad_request "unknown field %S (known: %s)" k (String.concat ", " known))
 
 (* ---------- request parsing ---------- *)
 

@@ -58,9 +58,19 @@ val response_error : id:Njson.t -> err -> string
 (** One response line:
     [{"id":...,"ok":false,"error":{"kind":...,"message":...}}]. *)
 
-(** {2 Body accessors} — shared by the op implementations. *)
+(** {2 Body fields} — what the op parameter tables in {!Ops} are made of. *)
 
-val str_field : ?default:string -> Njson.t -> string -> (string, err) result
-val int_field : ?default:int -> Njson.t -> string -> (int, err) result
-val bool_field : ?default:bool -> Njson.t -> string -> (bool, err) result
-val opt_str_field : Njson.t -> string -> (string option, err) result
+type _ kind =
+  | Str : string -> string kind  (** a string and its default *)
+  | Int : { default : int; min : int; max : int } -> int kind
+  | Flag : bool kind  (** [false] unless set *)
+  | Text : string option kind  (** absent unless set *)
+
+val field : string -> 'a kind -> Njson.t -> ('a, err) result
+(** [field key kind body] reads [body]'s [key] (absent or [null]: the
+    default); a wrong type or an out-of-bounds value is a [Bad_request]
+    naming [key] and the bound. *)
+
+val unknown_field : known:string list -> Njson.t -> err option
+(** A [Bad_request] for the first key of [body] that is neither in
+    [known] nor an envelope key ([id], [op], [deadline_ms]). *)

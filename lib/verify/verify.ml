@@ -370,21 +370,21 @@ let garbled_qasm rng =
 
 let json_leaf rng =
   match Rng.int rng 5 with
-  | 0 -> Core.Json.Null
-  | 1 -> Core.Json.Bool (Rng.bool rng)
-  | 2 -> Core.Json.Int (Rng.int rng 2_000_001 - 1_000_000)
-  | 3 -> Core.Json.Float (Rng.uniform rng (-1e6) 1e6 *. Float.exp (Rng.uniform rng (-20.0) 5.0))
+  | 0 -> Njson.Null
+  | 1 -> Njson.Bool (Rng.bool rng)
+  | 2 -> Njson.Int (Rng.int rng 2_000_001 - 1_000_000)
+  | 3 -> Njson.Float (Rng.uniform rng (-1e6) 1e6 *. Float.exp (Rng.uniform rng (-20.0) 5.0))
   | _ ->
-    Core.Json.String
+    Njson.String
       (String.init (Rng.int rng 12) (fun _ -> Char.chr (32 + Rng.int rng 95)))
 
 let rec json_gen depth rng =
   if depth = 0 || Rng.int rng 3 = 0 then json_leaf rng
   else
     match Rng.bool rng with
-    | true -> Core.Json.List (List.init (Rng.int rng 4) (fun _ -> json_gen (depth - 1) rng))
+    | true -> Njson.List (List.init (Rng.int rng 4) (fun _ -> json_gen (depth - 1) rng))
     | false ->
-      Core.Json.Obj
+      Njson.Obj
         (List.init (Rng.int rng 4) (fun i ->
              (Printf.sprintf "k%d" i, json_gen (depth - 1) rng)))
 
@@ -414,16 +414,16 @@ let roundtrip =
         | Error e -> e.Qcir.Qasm.line >= 1 && e.Qcir.Qasm.column >= 1);
     test "json trees round-trip" ~count:40
       (arb
-         ~print:(fun j -> Core.Json.to_string j)
+         ~print:(fun j -> Njson.to_string j)
          (json_gen 3))
-      (fun j -> Core.Json.of_string (Core.Json.to_string j) = j);
+      (fun j -> Njson.of_string (Njson.to_string j) = j);
     test "report documents round-trip through json" ~count:10
       (arb
-         ~print:(fun doc -> Core.Json.to_string (Core.Report.to_json doc))
+         ~print:(fun doc -> Njson.to_string (Core.Report.to_json doc))
          report_gen)
       (fun doc ->
         let j = Core.Report.to_json ~name:"prop" ~seconds:0.0 doc in
-        Core.Json.of_string (Core.Json.to_string j) = j);
+        Njson.of_string (Njson.to_string j) = j);
   ]
 
 (* ---------- Compiler: pass stack vs retained monolith ---------- *)

@@ -121,15 +121,15 @@ let test_json_roundtrip () =
         Core.Report.to_json ~name ~description:e.Core.Registry.description
           ~seconds:1.25 (e.Core.Registry.run Core.Config.quick)
       in
-      let s = Core.Json.to_string json in
-      let reparsed = Core.Json.of_string s in
+      let s = Njson.to_string json in
+      let reparsed = Njson.of_string s in
       check_bool (name ^ " tree preserved") true (reparsed = json);
-      Alcotest.(check string) (name ^ " fixed point") s (Core.Json.to_string reparsed))
+      Alcotest.(check string) (name ^ " fixed point") s (Njson.to_string reparsed))
     [ "table2"; "fig3"; "fig11" ]
 
 let test_json_escapes () =
-  let j = Core.Json.(Obj [ ("k\"ey", String "a\nb\tc\\ \x01") ]) in
-  check_bool "roundtrip" true (Core.Json.of_string (Core.Json.to_string j) = j)
+  let j = Njson.(Obj [ ("k\"ey", String "a\nb\tc\\ \x01") ]) in
+  check_bool "roundtrip" true (Njson.of_string (Njson.to_string j) = j)
 
 let test_registry_complete () =
   Alcotest.(check int) "16 experiments" 16 (List.length Core.Registry.all);
@@ -178,8 +178,9 @@ let test_evaluate_suite_pool_invariant () =
     [ 2; 4 ]
 
 let test_report_table_shapes () =
-  Core.Report.table ~header:[ "a"; "b" ] [ [ "1"; "2" ]; [ "3"; "4" ] ];
-  check_bool "printed" true true
+  Alcotest.(check string) "rendered" "a  b  \n-  -  \n1  2  \n3  4  \n"
+    (Core.Report.block_to_string
+       (Core.Report.Table { header = [ "a"; "b" ]; rows = [ [ "1"; "2" ]; [ "3"; "4" ] ] }))
 
 let test_report_bar () =
   Alcotest.(check int) "width" 10

@@ -1,7 +1,8 @@
 (* The resident compilation service (lib/service): protocol parsing and
    rendering, the bounded queue, monotonic deadlines, the server engine
-   (injected executors: retries, drain refusals), and the satellite
-   fixes that ride with it — Njson.of_string_result line/column errors,
+   (injected executors: retries, drain refusals), the compile/score
+   parameter tables (bounds, unknown fields, the README table), and the
+   satellite fixes that ride with it — Njson.of_string_result line/column errors,
    case-insensitive experiment lookup, fresh_path clobber avoidance. *)
 
 let check_bool = Alcotest.(check bool)
@@ -257,6 +258,98 @@ let test_ops_bad_device_is_typed () =
       check_bool "bad_request" true
         (e.Service.Protocol.kind = Service.Protocol.Bad_request))
 
+(* ---------- parameter tables ---------- *)
+
+let execute_line line =
+  match Service.Protocol.parse line with
+  | Error (_, e) -> Error e
+  | Ok req -> Service.Ops.execute req
+
+(* Inputs that used to crash a worker ([internal]) or silently compile
+   the defaults: each must now be a bad_request naming the field and
+   its bound. *)
+let test_probes_are_bad_requests () =
+  List.iter
+    (fun (line, needles) ->
+      match execute_line line with
+      | Ok _ -> Alcotest.fail (Printf.sprintf "%s answered ok" line)
+      | Error e ->
+        check_bool (line ^ " is bad_request") true
+          (e.Service.Protocol.kind = Service.Protocol.Bad_request);
+        List.iter
+          (fun needle ->
+            check_bool
+              (Printf.sprintf "%s: %S mentions %s" line e.Service.Protocol.message needle)
+              true
+              (Astring.String.is_infix ~affix:needle e.Service.Protocol.message))
+          needles)
+    [
+      ({|{"op":"compile","qubits":0}|}, [ {|"qubits"|}; "1..54" ]);
+      ({|{"op":"compile","app":"qv","qubits":1}|}, [ {|"qubits"|}; ">= 2" ]);
+      ({|{"op":"compile","qubits":200}|}, [ {|"qubits"|}; "1..54" ]);
+      ({|{"op":"score","count":0}|}, [ {|"count"|}; ">= 1" ]);
+      ({|{"op":"score","qubits":13}|}, [ {|"qubits"|}; "1..12" ]);
+      ( {|{"op":"compile","params":{"app":"qft","qubits":5,"isa":"S1"}}|},
+        [ {|"params"|}; "known: isa, app, qubits" ] );
+      ({|{"op":"score","params":{"app":"qft"}}|}, [ {|"params"|}; "count" ]);
+      ({|{"op":"compile","apps":"qft"}|}, [ {|"apps"|}; "known:" ]);
+      ({|{"op":"score","qasm":"OPENQASM 2.0;"}|}, [ {|"qasm"|}; "known:" ]);
+      ( {|{"op":"compile","app":"qaoa","qubits":10,"device":"aspen8"}|},
+        [ {|"qubits"|}; "<= 8"; "aspen8" ] );
+      ({|{"op":"compile","app":"nope"}|}, [ {|"app"|}; "qv, qaoa, qft, fh" ]);
+      ({|{"op":"compile","optimize":1}|}, [ {|"optimize"|}; "boolean" ]);
+    ]
+
+(* the valid requests of the @ci serve smoke, plus a score and an
+   envelope deadline, still answer ok through the server *)
+let test_valid_batch_still_ok () =
+  let _, replies =
+    batch ~workers:1
+      [
+        {|{"id":1,"op":"ping"}|};
+        {|{"id":2,"op":"devices"}|};
+        {|{"id":3,"op":"compile","app":"qaoa","qubits":4,"isa":"G2"}|};
+        {|{"id":4,"op":"stats"}|};
+        {|{"id":5,"op":"score","app":"qaoa","qubits":4,"isa":"G2","count":1,"deadline_ms":600000}|};
+      ]
+  in
+  check_int "five replies" 5 (List.length replies);
+  List.iter
+    (fun r ->
+      check_bool (r ^ " is ok") true
+        (Astring.String.is_infix ~affix:{|"ok":true|} r))
+    replies
+
+(* README's Serving table lists every parameter with its default *)
+let test_readme_lists_parameters () =
+  let readme = In_channel.with_open_text "../README.md" In_channel.input_all in
+  let rows =
+    List.filter
+      (fun l -> String.length l > 2 && String.sub l 0 2 = "| ")
+      (String.split_on_char '\n' readme)
+  in
+  List.iter
+    (fun (Service.Ops.P p) ->
+      let default =
+        match p.Service.Ops.kind with
+        | Str d -> Some d
+        | Int { default; _ } -> Some (string_of_int default)
+        | Flag -> Some "false"
+        | Text -> None
+      in
+      let row_prefix = Printf.sprintf "| `%s` |" p.Service.Ops.key in
+      match List.find_opt (Astring.String.is_prefix ~affix:row_prefix) rows with
+      | None -> Alcotest.fail (Printf.sprintf "README has no row for %s" p.Service.Ops.key)
+      | Some row ->
+        Option.iter
+          (fun d ->
+            check_bool
+              (Printf.sprintf "%s row shows default %s" p.Service.Ops.key d)
+              true
+              (Astring.String.is_infix ~affix:(Printf.sprintf "`%s`" d) row))
+          default)
+    (Service.Ops.compile_params @ Service.Ops.score_params)
+
 let () =
   Alcotest.run "service"
     [
@@ -295,5 +388,13 @@ let () =
           Alcotest.test_case "drain refusal" `Quick test_server_refuses_after_drain;
           Alcotest.test_case "stats op" `Quick test_server_stats_op;
           Alcotest.test_case "typed bad device" `Quick test_ops_bad_device_is_typed;
+        ] );
+      ( "params",
+        [
+          Alcotest.test_case "probes answer bad_request" `Quick
+            test_probes_are_bad_requests;
+          Alcotest.test_case "valid batch still ok" `Quick test_valid_batch_still_ok;
+          Alcotest.test_case "README lists every parameter" `Quick
+            test_readme_lists_parameters;
         ] );
     ]

@@ -419,21 +419,6 @@ let test_trajectory_overlap_bounds () =
   let ov = Sim.Trajectory.mean_ideal_overlap ~trajectories:20 model c ~ideal in
   check_bool "bounded" true (ov >= 0.0 && ov <= 1.0)
 
-(* ---------- Sample ---------- *)
-
-let test_sample_counts_sum () =
-  let rng = Rng.create 17 in
-  let probs = [| 0.5; 0.25; 0.125; 0.125 |] in
-  let tally = Sim.Sample.counts ~rng ~shots:1000 probs in
-  let total = Hashtbl.fold (fun _ c acc -> acc + c) tally 0 in
-  Alcotest.(check int) "1000 shots" 1000 total
-
-let test_sample_empirical_converges () =
-  let rng = Rng.create 18 in
-  let probs = [| 0.7; 0.3 |] in
-  let emp = Sim.Sample.empirical_probabilities ~rng ~shots:20000 probs in
-  check_bool "close" true (Float.abs (emp.(0) -. 0.7) < 0.02)
-
 (* qcheck: random circuits preserve norm; channels preserve trace *)
 let prop_norm_preserved =
   QCheck.Test.make ~count:20 ~name:"statevector norm preserved"
@@ -507,11 +492,6 @@ let () =
           Alcotest.test_case "matches density" `Slow test_trajectory_mean_matches_density;
           Alcotest.test_case "damping specializations" `Quick test_trajectory_damping_specializations;
           Alcotest.test_case "overlap bounds" `Quick test_trajectory_overlap_bounds;
-        ] );
-      ( "sample",
-        [
-          Alcotest.test_case "counts sum" `Quick test_sample_counts_sum;
-          Alcotest.test_case "empirical converges" `Quick test_sample_empirical_converges;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_norm_preserved; prop_channel_trace ] );
