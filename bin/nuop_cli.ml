@@ -7,7 +7,8 @@
      compile      compile one benchmark through the pass manager (--trace-passes)
      cache        warm, inspect and compact persistent curve snapshots
      calibration  print the Sec IX calibration cost model
-     experiment   run one of the paper's table/figure reproductions
+     experiment   run the paper's table/figure reproductions (text, JSON artifact,
+                  or cold-vs-warm cache table)
      design       search gate-type pools for Pareto-optimal instruction sets
      trace        validate JSONL telemetry traces (nuop-trace/1)
      serve        resident compilation server (NDJSON over stdio or a Unix socket)
@@ -455,38 +456,164 @@ let json_arg =
 
 let config paper = if paper then Core.Config.paper else Core.Config.quick
 
+let with_output output f =
+  match output with
+  | None -> f stdout
+  | Some file -> Out_channel.with_open_text file f
+
 (* the report as text or JSON, on stdout or into a file *)
 let emit_report ~name ~description json output doc =
-  let s =
-    if json then Njson.to_string (Core.Report.to_json ~name ~description doc) ^ "\n"
-    else Core.Report.render_text doc
+  with_output output (fun oc ->
+      output_string oc
+        (if json then Njson.to_string (Core.Report.to_json ~name ~description doc) ^ "\n"
+         else Core.Report.render_text doc);
+      flush oc)
+
+(* BENCH_<date>.json names and the artifact's "date" stamp in UTC
+   (Obs.Clock wraps gmtime), so a run's artifact name does not depend on
+   the machine's timezone. *)
+let today () = Obs.Clock.utc_date (Obs.Clock.now ())
+
+(* Run every entry into one nuop-bench/1 artifact, write it, then read
+   back what was written and check it names every entry. *)
+let write_artifact cfg ~scale ~output entries =
+  let runs =
+    List.map
+      (fun e ->
+        let doc, seconds = Core.Registry.run cfg e in
+        (e, doc, seconds))
+      entries
   in
-  match output with
-  | None ->
-    print_string s;
-    flush stdout
-  | Some file -> Out_channel.with_open_text file (fun oc -> output_string oc s)
+  let text = Njson.to_string (Core.Registry.artifact ~date:(today ()) ~scale runs) ^ "\n" in
+  let written =
+    match output with
+    | None ->
+      print_string text;
+      flush stdout;
+      text
+    | Some file ->
+      Out_channel.with_open_text file (fun oc -> output_string oc text);
+      In_channel.with_open_bin file In_channel.input_all
+  in
+  let names = List.map (fun (e : Core.Registry.entry) -> e.name) entries in
+  match (Core.Registry.check_artifact ~names written, output) with
+  | Error msg, _ ->
+    invalid_arg
+      (Printf.sprintf "artifact %s: %s" (Option.value output ~default:"on stdout") msg)
+  | Ok _, None -> ()
+  | Ok n, Some file -> Printf.printf "wrote %s: all %d experiments present\n%!" file n
+
+(* `--cache FILE` runs every selected experiment twice: once cold (empty
+   decomposition cache) and once warmed from FILE, which is (re)written
+   from the cold run's curves in between.  Because curves are
+   deterministic, the two report texts must be byte-identical whenever
+   the report itself embeds no cache statistics (the ablations
+   pass-metrics table legitimately differs: its misses become warm hits).
+   The comparison table is the warm/cold wall-time evidence for the
+   persistence layer. *)
+let run_cached oc cfg file entries =
+  let rows =
+    List.map
+      (fun (e : Core.Registry.entry) ->
+        Decompose.Cache.clear ();
+        let cold_doc, cold_s = Core.Registry.run ~attrs:[ ("mode", "cold") ] cfg e in
+        (* grow the snapshot: existing file entries merge in (never
+           clobbering this run's), then the union is saved atomically *)
+        if Sys.file_exists file then ignore (Decompose.Cache.load_from_file file);
+        let saved = Decompose.Cache.save_to_file file in
+        Decompose.Cache.clear ();
+        let loaded = Decompose.Cache.load_from_file file in
+        let warm_doc, warm_s = Core.Registry.run ~attrs:[ ("mode", "warm") ] cfg e in
+        Printf.fprintf oc "[%s: cold %.1f s, warm %.1f s, %d curves saved, %d loaded]\n%!"
+          e.name cold_s warm_s saved loaded;
+        [
+          e.name;
+          Printf.sprintf "%.2f" cold_s;
+          Printf.sprintf "%.2f" warm_s;
+          (if warm_s > 0.0 then Printf.sprintf "%.1fx" (cold_s /. warm_s) else "-");
+          (if Core.Report.render_text cold_doc = Core.Report.render_text warm_doc then "yes"
+           else "no");
+        ])
+      entries
+  in
+  Printf.fprintf oc "\nWarm-vs-cold wall time (cache file %s):\n" file;
+  output_string oc
+    (Core.Report.block_to_string
+       (Core.Report.Table
+          {
+            header = [ "experiment"; "cold (s)"; "warm (s)"; "speedup"; "identical" ];
+            rows;
+          }))
 
 let experiment_cmd =
-  let name_arg =
+  let names_arg =
     Arg.(
-      required & pos 0 (some string) None
+      non_empty & pos_all string []
       & info [] ~docv:"NAME"
           ~doc:
-            (Printf.sprintf "One of: %s."
+            (Printf.sprintf "One or more of: %s; or $(b,all) for every one."
                (String.concat ", " Core.Registry.names)))
   in
-  let run name paper json output =
+  let json =
+    Arg.(
+      value & flag
+      & info [ "json" ]
+          ~doc:
+            "Write one nuop-bench/1 artifact holding every selected experiment \
+             (to stdout, $(b,-o), or BENCH_<date>.json for $(b,all)), then read it \
+             back and check it names each one.")
+  in
+  let cache =
+    Arg.(
+      value & opt (some string) None
+      & info [ "cache" ] ~docv:"FILE"
+          ~doc:
+            "Run each experiment cold, save its curves to $(docv), reload them and \
+             run it warm; print the wall times and whether the two reports are \
+             identical.")
+  in
+  let is_all name = String.lowercase_ascii name = "all" in
+  let run names paper json output cache =
     (* case-insensitive lookup; a miss raises Invalid_argument listing
        every known experiment (caught by the entry point below) *)
-    let e = Core.Registry.find_exn name in
-    emit_report ~name:e.name ~description:e.description json output (e.run (config paper))
+    let entries =
+      List.concat_map
+        (fun name -> if is_all name then Core.Registry.all else [ Core.Registry.find_exn name ])
+        names
+    in
+    let cfg = config paper in
+    match (json, cache) with
+    | true, Some _ -> invalid_arg "--cache and --json cannot be combined"
+    | false, Some file -> with_output output (fun oc -> run_cached oc cfg file entries)
+    | true, None ->
+      let output =
+        match (output, names) with
+        | None, [ name ] when is_all name ->
+          (* never clobber an earlier artifact from the same UTC day:
+             take BENCH_<date>-2.json, -3.json, ... and say so *)
+          let default = Printf.sprintf "BENCH_%s.json" (today ()) in
+          let path = Core.Report.fresh_path default in
+          if path <> default then
+            Obs.Log.warn "nuop: %s already exists; writing %s instead" default path;
+          Some path
+        | _ -> output
+      in
+      write_artifact cfg ~scale:(if paper then "paper" else "quick") ~output entries
+    | false, None ->
+      with_output output (fun oc ->
+          List.iter
+            (fun (e : Core.Registry.entry) ->
+              let doc, seconds = Core.Registry.run cfg e in
+              output_string oc (Core.Report.render_text doc);
+              Printf.fprintf oc "\n[%s done in %.1f s]\n%!" e.name seconds)
+            entries)
   in
   Cmd.v
-    (Cmd.info "experiment" ~doc:"Run one of the paper's table/figure reproductions")
+    (Cmd.info "experiment" ~doc:"Run the paper's table/figure reproductions")
     Term.(
-      const run $ name_arg $ paper_arg $ json_arg
-      $ output_arg "Write the report to $(docv).")
+      const run $ names_arg $ paper_arg $ json
+      $ output_arg "Write the reports (or the artifact) to $(docv)."
+      $ cache)
 
 let design_cmd =
   let smoke =

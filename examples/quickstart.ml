@@ -47,5 +47,5 @@ let () =
     full.Decompose.Nuop.layers full.Decompose.Nuop.fd;
   Printf.printf
     "\nThat gap (3 fixed gates vs 2 continuous ones) is the expressivity the\n\
-     paper trades against calibration cost; run `dune exec bench/main.exe -- all`\n\
-     to regenerate the full study.\n"
+     paper trades against calibration cost; run\n\
+     `dune exec bin/nuop_cli.exe -- experiment all` to regenerate the full study.\n"

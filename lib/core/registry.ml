@@ -1,7 +1,7 @@
-(* The single list of paper experiments. Both the bench harness and the
-   nuop CLI consume this registry, so an experiment added here shows up
-   in `bench all`, `bench <name> --json`, `nuop experiment <name>` and
-   the CI completeness check without further wiring. *)
+(* The single list of paper experiments, plus the nuop-bench/1 artifact
+   that records a run of them. `nuop experiment` is the one front end:
+   an experiment added here shows up in `nuop experiment all`, its
+   `--json` artifact and the artifact check without further wiring. *)
 
 type entry = {
   name : string;
@@ -94,7 +94,7 @@ let all =
   ]
 
 (* Case-insensitive, matching the ISA/Device registry conventions:
-   `nuop experiment FIG9` and `bench Fig9` find fig9. *)
+   `nuop experiment FIG9` and `nuop experiment Fig9` find fig9. *)
 let find name =
   let lower = String.lowercase_ascii name in
   List.find_opt (fun e -> String.lowercase_ascii e.name = lower) all
@@ -108,3 +108,37 @@ let find_exn name =
     invalid_arg
       (Printf.sprintf "Core.Registry: unknown experiment %S (known: %s)" name
          (String.concat ", " names))
+
+(* Wall time is measured around the document build (all the numeric work
+   happens there; rendering is negligible) by the experiment's span — the
+   same number lands in the artifact's "seconds" field and, under
+   --trace / NUOP_TRACE, in the trace. *)
+let run ?(attrs = []) cfg e =
+  Obs.Span.timed ~attrs:(("experiment", e.name) :: attrs) "experiment" (fun () -> e.run cfg)
+
+let artifact ~date ~scale runs =
+  Njson.Obj
+    [
+      ("schema", Njson.String "nuop-bench/1");
+      ("date", Njson.String date);
+      ("scale", Njson.String scale);
+      ( "experiments",
+        Njson.List
+          (List.map
+             (fun (e, doc, seconds) ->
+               Report.to_json ~name:e.name ~description:e.description ~seconds doc)
+             runs) );
+    ]
+
+let check_artifact ~names text =
+  match Njson.of_string_result text with
+  | Error msg -> Error ("not JSON: " ^ msg)
+  | Ok json ->
+    let found =
+      Option.bind (Njson.member "experiments" json) Njson.to_list
+      |> Option.value ~default:[]
+      |> List.filter_map (fun e -> Option.bind (Njson.member "name" e) Njson.to_string_value)
+    in
+    (match List.filter (fun n -> not (List.mem n found)) names with
+    | [] -> Ok (List.length found)
+    | missing -> Error ("missing experiments: " ^ String.concat ", " missing))

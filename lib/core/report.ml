@@ -8,7 +8,7 @@
      byte (locked by the fig11 golden test), so the refactor is invisible
      to anyone reading the bench logs;
    - [to_json] emits the machine-readable form used by
-     `bench all --json` / `nuop experiment --json` to produce BENCH
+     `nuop experiment --json` to produce nuop-bench/1
      artifacts that track the reproduction over time. *)
 
 type block =
@@ -42,13 +42,6 @@ let bar ?(width = 40) ~max_value value =
    above 9 are clamped). *)
 let heat_digit v =
   if Float.is_nan v then "." else string_of_int (min 9 (int_of_float (Float.round v)))
-
-(* Wall time (Obs.Clock), not process-CPU time: Domain-pool-parallel
-   experiments burn many CPU-seconds per wall second, and blocked time
-   must count too. *)
-let timer () =
-  let t0 = Obs.Clock.now () in
-  fun () -> Obs.Clock.now () -. t0
 
 (* ---------- text renderer ---------- *)
 

@@ -2,7 +2,7 @@
 
     Drivers build a {!doc} through {!Builder} instead of printing;
     {!render_text} reproduces the historical terminal output byte for
-    byte while {!to_json} powers the machine-readable bench artifacts. *)
+    byte while {!to_json} powers the machine-readable nuop-bench/1 artifacts. *)
 
 type block =
   | Heading of string
@@ -68,7 +68,6 @@ val f3 : float -> string
 val f4 : float -> string
 val bar : ?width:int -> max_value:float -> float -> string
 val heat_digit : float -> string
-val timer : unit -> unit -> float
 
 val block_to_string : block -> string
 (** One block rendered exactly as the text renderer would print it —

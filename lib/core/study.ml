@@ -99,7 +99,7 @@ let evaluate_suite ?options ?stack ?domains ~device ~isa ~metric circuits =
   assert (circuits <> []);
   let n = float_of_int (List.length circuits) in
   let evaluations =
-    Parallel.map ?domains
+    Concurrent.Domain_pool.map ?domains
       (fun circuit -> evaluate_circuit ?options ?stack ~device ~isa ~metric circuit)
       circuits
   in

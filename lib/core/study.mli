@@ -48,7 +48,7 @@ val evaluate_suite :
   Qcir.Circuit.t list ->
   result
 (** Evaluates the circuits on the Domain pool ([domains] defaults to
-    {!Parallel.default_domains}); the result record is identical at every
+    {!Concurrent.Domain_pool.default_domains}); the result record is identical at every
     pool size, including the sequential fallback at pool size 1. *)
 
 val result_row : result -> string list

@@ -20,8 +20,7 @@ val split : t -> int -> t
     the parent's current state and [i] that does not advance the parent.
     Equal [(state, i)] pairs always yield equal streams, and distinct
     indices yield pairwise distinct streams — the per-task seeding rule
-    used by [Core.Parallel] so parallel and sequential schedules draw
-    identical numbers. *)
+    that lets parallel and sequential schedules draw identical numbers. *)
 
 val float : t -> float
 (** Uniform in [0, 1). *)

@@ -141,6 +141,41 @@ let test_registry_complete () =
   check_bool "find drift" true (Option.is_some (Core.Registry.find "drift"));
   check_bool "find unknown" true (Option.is_none (Core.Registry.find "fig99"))
 
+(* ---------- nuop-bench/1 artifact and its check ---------- *)
+
+let artifact_text names =
+  let runs =
+    List.map
+      (fun name ->
+        let e = Core.Registry.find_exn name in
+        let doc, seconds = Core.Registry.run Core.Config.quick e in
+        (e, doc, seconds))
+      names
+  in
+  Njson.to_string (Core.Registry.artifact ~date:"2026-01-01" ~scale:"quick" runs)
+
+let check_error ~affix = function
+  | Ok n -> Alcotest.failf "check passed (%d experiments), expected an error" n
+  | Error msg ->
+    check_bool (Printf.sprintf "%S mentions %S" msg affix) true
+      (Astring.String.is_infix ~affix msg)
+
+let test_artifact_names_every_run () =
+  (* two experiments in one artifact: both nodes survive (no clobbering) *)
+  let names = [ "table2"; "fig11" ] in
+  Alcotest.(check (result int string))
+    "both present" (Ok 2)
+    (Core.Registry.check_artifact ~names (artifact_text names))
+
+let test_artifact_missing_experiment () =
+  check_error ~affix:"missing experiments: fig11"
+    (Core.Registry.check_artifact ~names:[ "table2"; "fig11" ] (artifact_text [ "table2" ]))
+
+let test_artifact_unparseable () =
+  check_error ~affix:"line 3, column 3"
+    (Core.Registry.check_artifact ~names:[ "table2" ]
+       "{\n  \"schema\": \"nuop-bench/1\",\n  experiments\n}\n")
+
 (* ---------- parallel evaluation ---------- *)
 
 let test_parallel_map_order () =
@@ -148,14 +183,7 @@ let test_parallel_map_order () =
   Alcotest.(check (list int))
     "order preserved"
     (List.map (fun x -> x * x) xs)
-    (Core.Parallel.map ~domains:4 (fun x -> x * x) xs)
-
-let test_parallel_map_seeded_deterministic () =
-  let draw rng _ = Rng.float rng in
-  let one domains =
-    Core.Parallel.map_seeded ~domains ~rng:(Rng.create 7) draw (List.init 16 Fun.id)
-  in
-  Alcotest.(check (list (float 0.0))) "pool size invariant" (one 1) (one 4)
+    (Concurrent.Domain_pool.map ~domains:4 (fun x -> x * x) xs)
 
 let test_evaluate_suite_pool_invariant () =
   (* the acceptance criterion: identical result records at pool size 1
@@ -221,11 +249,16 @@ let () =
           Alcotest.test_case "json escapes" `Quick test_json_escapes;
           Alcotest.test_case "registry complete" `Quick test_registry_complete;
         ] );
+      ( "artifact",
+        [
+          Alcotest.test_case "names every run" `Quick test_artifact_names_every_run;
+          Alcotest.test_case "missing experiment named" `Quick
+            test_artifact_missing_experiment;
+          Alcotest.test_case "unparseable located" `Quick test_artifact_unparseable;
+        ] );
       ( "parallel",
         [
           Alcotest.test_case "map preserves order" `Quick test_parallel_map_order;
-          Alcotest.test_case "map_seeded deterministic" `Quick
-            test_parallel_map_seeded_deterministic;
           Alcotest.test_case "evaluate_suite pool invariant" `Slow
             test_evaluate_suite_pool_invariant;
         ] );
