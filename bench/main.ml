@@ -29,6 +29,7 @@ let micro_tests () =
     Array.init (Decompose.Template.param_count template) (fun _ ->
         Linalg.Rng.uniform rng (-.Float.pi) Float.pi)
   in
+  let grad = Array.make (Array.length params) 0.0 in
   let state16 = Sim.State.create 16 in
   let syc = Gates.Twoq.syc in
   let qv_target = Linalg.Qr.haar_special_unitary rng 4 in
@@ -57,6 +58,9 @@ let micro_tests () =
     Test.make ~name:"mat4.mul (boxed ref)" (Staged.stage (fun () -> ignore (boxed_mul a b)));
     Test.make ~name:"template.eval 3 layers"
       (Staged.stage (fun () -> ignore (Decompose.Template.fidelity template params ~target)));
+    Test.make ~name:"template.gradient 3 layers"
+      (Staged.stage (fun () ->
+           ignore (Decompose.Template.infidelity_gradient template params ~target ~grad)));
     Test.make ~name:"statevector 2q gate @16q"
       (Staged.stage (fun () -> Sim.State.apply_matrix state16 syc [| 3; 9 |]));
     Test.make ~name:"nuop exact SU4->CZ (1 start)"

@@ -242,7 +242,7 @@ let compile_cmd =
 (* ---------- cache ---------- *)
 
 (* Persistent decomposition-cache tooling.  The file format is the
-   Decompose.Persist curve snapshot (schema nuop-curves/1); every load
+   Decompose.Persist curve snapshot (schema nuop-curves/2); every load
    below is corruption-tolerant — a bad file reports its reason and
    counts as empty, it never aborts the command with a backtrace. *)
 

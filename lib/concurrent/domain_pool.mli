@@ -2,7 +2,14 @@
 
     Results always come back in input order, so a parallel map is a
     drop-in replacement for [List.map] whenever the per-item work is
-    independent and free of unsynchronized shared state. *)
+    independent and free of unsynchronized shared state.
+
+    Helper domains are persistent: they are spawned by the first map
+    that needs them and reused by every later map, so [k] consecutive
+    maps at pool size [d] spawn [d - 1] domains in total, not
+    [k * (d - 1)].  One map runs on the helpers at a time; a map issued
+    while another domain's map holds them runs sequentially on its
+    caller instead of waiting. *)
 
 val default_domains : unit -> int
 (** Pool size used when [?domains] is omitted: the [set_default_domains]
@@ -34,9 +41,13 @@ val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~domains f items] applies [f] to every item on a pool of
     [domains] domains (caller included) and returns the results in input
     order.  At pool size 1 — or when called from inside another pool
-    worker — it degrades to a plain sequential map on the calling domain.
-    If any task raises, the first exception is re-raised after the pool
-    drains. *)
+    worker, or while another domain's map holds the helpers — it
+    degrades to a plain sequential map on the calling domain.  If any
+    task raises, the first exception is re-raised after the pool drains;
+    the helpers survive it. *)
 
 val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Array variant of {!map}. *)
+
+val helpers_spawned : unit -> int
+(** Helper domains spawned so far in this process (they never exit). *)

@@ -30,7 +30,7 @@
 
    Curves are deterministic, so they also persist across processes:
    [save_to_file]/[load_from_file] snapshot the table through
-   {!Persist} (schema nuop-curves/1).  Entries that came from disk are
+   {!Persist} (schema nuop-curves/2).  Entries that came from disk are
    marked "warm"; merging never clobbers an entry already in memory, a
    corrupt or wrong-version file warns on stderr and loads nothing, and
    a compile served from warm curves is byte-for-byte identical to a
@@ -69,12 +69,12 @@ let warm_hit_count = Obs.Counter.create "decompose.cache.warm_hits"
 let make_key ~target ~gate_type ~options =
   let o = options in
   let b = o.Nuop.bfgs in
-  Printf.sprintf "%s|%s|%d-%d|s%d|r%d|cv%.17g|b%d;%.17g;%.17g;%.17g;%.17g"
+  Printf.sprintf "%s|%s|%d-%d|s%d|r%d|cv%.17g|b%d;%.17g;%.17g;%.17g"
     (Digest.to_hex (Mat.digest target))
     (Gates.Gate_type.name gate_type)
     o.Nuop.min_layers o.Nuop.max_layers o.Nuop.starts o.Nuop.seed
     o.Nuop.convergence_fd b.Optimize.Bfgs.max_iter b.Optimize.Bfgs.grad_tol
-    b.Optimize.Bfgs.f_tol b.Optimize.Bfgs.step_tol b.Optimize.Bfgs.fd_step
+    b.Optimize.Bfgs.f_tol b.Optimize.Bfgs.step_tol
 
 let with_lock f =
   Mutex.lock lock;

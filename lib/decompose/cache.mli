@@ -9,7 +9,7 @@
 
     Because curves are deterministic, the table also persists across
     processes: {!save_to_file}/{!load_from_file} snapshot it through
-    {!Persist} (schema [nuop-curves/1]), and [NUOP_CACHE_FILE] (read by
+    {!Persist} (schema [nuop-curves/2]), and [NUOP_CACHE_FILE] (read by
     {!warm_from_env}) warms the cache at tool startup.  A compile served
     from warm entries is byte-for-byte identical to a cold one. *)
 
@@ -64,7 +64,7 @@ val set_capacity : int -> unit
 
 val save_to_file : string -> int
 (** [save_to_file path] atomically writes every cached curve to [path]
-    (schema [nuop-curves/1], deterministic key order) and returns the
+    (schema [nuop-curves/2], deterministic key order) and returns the
     number of entries written. *)
 
 val load_from_file : string -> int

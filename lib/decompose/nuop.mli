@@ -25,6 +25,23 @@ type t = {
 val overall_fidelity : t -> float
 (** F_u = F_d * F_h (Eq 2). *)
 
+val first_start : int -> float array
+(** The first multistart point for a template with this many angles:
+    near 0.1 everywhere, with a small ripple that breaks the exchange
+    symmetry of the two qubits (a symmetric start can trap exact-gradient
+    BFGS at a saddle on symmetric targets). *)
+
+val fit :
+  ?options:options ->
+  Gates.Gate_type.t ->
+  layers:int ->
+  target:Mat.t ->
+  float array ->
+  Optimize.Bfgs.result
+(** One BFGS run of the [layers]-layer template from the given start,
+    minimizing the infidelity with its analytic gradient; stops once
+    F_d reaches [convergence_fd].  Each multistart start is one [fit]. *)
+
 val optimize_layers :
   ?options:options ->
   Gates.Gate_type.t ->

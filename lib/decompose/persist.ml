@@ -1,8 +1,8 @@
-(* On-disk fidelity-curve store, schema nuop-curves/1.
+(* On-disk fidelity-curve store, schema nuop-curves/2.
 
    Layout:
 
-     { "schema": "nuop-curves/1",
+     { "schema": "nuop-curves/2",
        "entries": [ { "key": "<make_key fingerprint>",
                       "curve": [ [layers, [params...], fd], ... ] },
                     ... ] }
@@ -15,7 +15,10 @@
 
 type curve = (int * float array * float) array
 
-let schema = "nuop-curves/1"
+(* /2: NuOp fits with the analytic template gradient and a
+   symmetry-breaking first start, so its curves differ from the
+   finite-difference ones of /1 *)
+let schema = "nuop-curves/2"
 
 (* ---------- encoding ---------- *)
 

@@ -1,4 +1,4 @@
-(** Versioned on-disk store for fidelity curves (schema [nuop-curves/1]).
+(** Versioned on-disk store for fidelity curves (schema [nuop-curves/2]).
 
     The expensive object in every expressivity score is the per-layer
     fidelity curve of a (unitary, gate type, optimizer options) triple —
@@ -21,7 +21,8 @@ type curve = (int * float array * float) array
     exactly as produced by {!Nuop.fd_curve}. *)
 
 val schema : string
-(** ["nuop-curves/1"].  Bumped whenever the entry layout changes; a file
+(** ["nuop-curves/2"].  Bumped whenever the entry layout or the way
+    curves are computed changes (/2: analytic-gradient NuOp); a file
     carrying any other value loads as [Error _]. *)
 
 val save : string -> (string * curve) list -> unit

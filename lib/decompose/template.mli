@@ -3,7 +3,8 @@
     A template with [i] layers alternates arbitrary single-qubit rotation
     pairs (6 angles each) with the target hardware two-qubit gate; for a
     continuous family each gate layer carries its own free angles.
-    Evaluation reuses workspace scratch matrices and never allocates. *)
+    Evaluation and the analytic gradient reuse workspace scratch
+    matrices instead of allocating. *)
 
 open Linalg
 
@@ -24,6 +25,16 @@ val fidelity : t -> float array -> target:Mat.t -> float
 (** Decomposition fidelity F_d = |Tr(U_d^dag U_t)| / 4 (Eq 1). *)
 
 val infidelity : t -> float array -> target:Mat.t -> float
+
+val infidelity_gradient :
+  t -> float array -> target:Mat.t -> grad:float array -> float
+(** [infidelity_gradient t params ~target ~grad] writes the exact gradient
+    of [infidelity t _ ~target] at [params] into [grad] and returns the
+    infidelity itself, bit-identical to [infidelity t params ~target].
+    Costs about three template evaluations (a forward sweep of prefix
+    products, a backward sweep of suffix products, one environment per
+    differentiated factor) instead of the [2 * param_count] evaluations
+    of a central difference.  Shares the workspace with {!evaluate}. *)
 
 val gate_angles : t -> float array -> int -> float array
 (** Angles of the k-th two-qubit layer (1-based); empty for fixed types. *)

@@ -2,8 +2,10 @@
    approximation.
 
    This is the optimizer the paper uses (scipy's BFGS) for NuOp template
-   fitting: dimensions are small (6..40 angles), objectives are smooth
-   infidelities, gradients come from {!Grad.central}. *)
+   fitting: dimensions are small (6..40 angles) and objectives are smooth
+   infidelities.  Gradients come from the caller's [?gradient] when given
+   (NuOp passes the template's analytic gradient), else from
+   {!Grad.central}. *)
 
 type options = {
   max_iter : int;
@@ -14,11 +16,10 @@ type options = {
           accepted step falls below this.  An absolute cutoff here is a
           bug — it would abort tiny-but-real progress on objectives whose
           scale is below the cutoff (infidelities near convergence). *)
-  fd_step : float;  (** finite-difference step for the gradient *)
 }
 
 let default_options =
-  { max_iter = 200; grad_tol = 1e-8; f_tol = -.infinity; step_tol = 1e-12; fd_step = 1e-7 }
+  { max_iter = 200; grad_tol = 1e-8; f_tol = -.infinity; step_tol = 1e-12 }
 
 type outcome = Converged | Target_reached | Max_iterations | Stagnated
 
@@ -31,13 +32,13 @@ type result = {
 }
 
 (* h <- (I - rho s y^T) h (I - rho y s^T) + rho s s^T, the standard BFGS
-   inverse-Hessian update, done in place on a dense n x n float matrix. *)
-let update_inverse_hessian h s y n =
+   inverse-Hessian update, done in place on a dense n x n float matrix;
+   [hy] is scratch of length n. *)
+let update_inverse_hessian h s y hy n =
   let rho_denom = Grad.dot y s in
   if rho_denom > 1e-12 then begin
     let rho = 1.0 /. rho_denom in
     (* hy = H y *)
-    let hy = Array.make n 0.0 in
     for i = 0 to n - 1 do
       let acc = ref 0.0 in
       for j = 0 to n - 1 do
@@ -57,7 +58,7 @@ let update_inverse_hessian h s y n =
     done
   end
 
-let minimize ?(options = default_options) f x0 =
+let minimize ?(options = default_options) ?gradient f x0 =
   let n = Array.length x0 in
   let x = Array.copy x0 in
   let evals = ref 0 in
@@ -65,8 +66,20 @@ let minimize ?(options = default_options) f x0 =
     incr evals;
     f z
   in
-  let fx = ref (f_counted x) in
-  let g = ref (Grad.central ~h:options.fd_step f_counted x) in
+  let central z dst = Array.blit (Grad.central f_counted z) 0 dst 0 n in
+  let g = ref (Array.make n 0.0) and g_new = ref (Array.make n 0.0) in
+  (* a caller-supplied gradient counts as one evaluation; it also returns
+     the starting value *)
+  let fx =
+    match gradient with
+    | Some gradient ->
+      incr evals;
+      ref (gradient x !g)
+    | None ->
+      let f0 = f_counted x in
+      central x !g;
+      ref f0
+  in
   (* inverse Hessian approximation, initialized to the identity *)
   let hinv = Array.make (n * n) 0.0 in
   for i = 0 to n - 1 do
@@ -75,6 +88,7 @@ let minimize ?(options = default_options) f x0 =
   let d = Array.make n 0.0 in
   let s = Array.make n 0.0 in
   let y = Array.make n 0.0 in
+  let hy = Array.make n 0.0 in
   let iter = ref 0 in
   let outcome = ref Max_iterations in
   (try
@@ -135,12 +149,18 @@ let minimize ?(options = default_options) f x0 =
          outcome := Stagnated;
          raise Exit
        end;
-       let g_new = Grad.central ~h:options.fd_step f_counted x in
+       (match gradient with
+       | Some gradient ->
+         incr evals;
+         ignore (gradient x !g_new)
+       | None -> central x !g_new);
        for i = 0 to n - 1 do
-         y.(i) <- g_new.(i) -. !g.(i)
+         y.(i) <- !g_new.(i) -. !g.(i)
        done;
-       g := g_new;
-       update_inverse_hessian hinv s y n
+       let g_old = !g in
+       g := !g_new;
+       g_new := g_old;
+       update_inverse_hessian hinv s y hy n
      done
    with Exit -> ());
   { x; f = !fx; iterations = !iter; evaluations = !evals; outcome = !outcome }

@@ -1,8 +1,8 @@
 (* Finite-difference gradients.
 
-   NuOp's objective (decomposition infidelity of a 4x4 template) is smooth
-   and cheap, so central differences with a fixed step are accurate and
-   simpler than analytic differentiation through the template product. *)
+   The default gradient of {!Bfgs.minimize} for objectives without a
+   closed-form derivative (KAK fitting, the optimizer ablation), and the
+   reference that NuOp's analytic template gradient is checked against. *)
 
 let default_step = 1e-7
 

@@ -258,6 +258,40 @@ let decompose =
             ~threshold:(1.0 -. 1e-5) Gates.Gate_type.s3 ~target:u
         in
         d.Decompose.Nuop.layers = 1 && d.Decompose.Nuop.fd >= 1.0 -. 1e-5);
+    (* the analytic template gradient against the finite-difference
+       reference it replaced inside BFGS, on every kind of layer: fixed
+       gates, and the fSim/XY/CPhase families with their gate angles *)
+    test "template gradient matches central differences" ~count:30
+      (arb
+         ~print:(fun (gate_type, layers, params, target) ->
+           Printf.sprintf "%s x%d at [%s] on\n%s"
+             (Gates.Gate_type.name gate_type)
+             layers
+             (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%.17g") params)))
+             (pm target))
+         (fun rng ->
+           let gate_type =
+             G.choosel
+               Gates.Gate_type.
+                 [ s1; s3; s2; Fsim_family; Xy_family; Cphase_family ]
+               rng
+           in
+           let layers = G.int_range 0 4 rng in
+           let n =
+             Decompose.Template.param_count (Decompose.Template.create gate_type ~layers)
+           in
+           (gate_type, layers, Array.init n (fun _ -> G.angle rng), G.su4 rng)))
+      (fun (gate_type, layers, params, target) ->
+        let t = Decompose.Template.create gate_type ~layers in
+        let grad = Array.make (Array.length params) nan in
+        let f = Decompose.Template.infidelity_gradient t params ~target ~grad in
+        let reference =
+          Optimize.Grad.central ~h:1e-6
+            (fun x -> Decompose.Template.infidelity t x ~target)
+            params
+        in
+        Float.equal f (Decompose.Template.infidelity t params ~target)
+        && Array.for_all2 (fun a b -> Float.abs (a -. b) <= 1e-6) grad reference);
     test "template evaluation is unitary" ~count:15
       (arb
          ~print:(fun (layers, _) -> Printf.sprintf "%d layers" layers)

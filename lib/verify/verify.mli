@@ -31,7 +31,10 @@ val optimize : (string * (unit -> unit)) list
 val decompose : (string * (unit -> unit)) list
 (** NuOp vs KAK vs the Cirq-like baseline: reconstruction, fidelity
     recomputed from the implemented unitary, the SBM lower bound, and
-    agreement on single-gate-expressible targets. *)
+    agreement on single-gate-expressible targets; the analytic template
+    gradient against central differences (within 1e-6, value
+    bit-identical to [Template.infidelity]) for fixed and family gate
+    types at 0-4 layers. *)
 
 val sim : (string * (unit -> unit)) list
 (** State-vector vs density vs trajectory simulators on the same ideal

@@ -185,6 +185,46 @@ let test_parallel_map_order () =
     (List.map (fun x -> x * x) xs)
     (Concurrent.Domain_pool.map ~domains:4 (fun x -> x * x) xs)
 
+let test_pool_helpers_persist () =
+  (* helpers are spawned once and reused: 500 maps at pool size 4 add at
+     most 3 domains to whatever earlier tests spawned *)
+  let before = Concurrent.Domain_pool.helpers_spawned () in
+  let xs = Array.init 8 Fun.id in
+  for k = 1 to 500 do
+    let got = Concurrent.Domain_pool.map_array ~domains:4 (fun x -> x + k) xs in
+    if got <> Array.map (fun x -> x + k) xs then Alcotest.failf "map %d wrong" k
+  done;
+  let added = Concurrent.Domain_pool.helpers_spawned () - before in
+  check_bool (Printf.sprintf "at most 3 helpers spawned (got %d)" added) true (added <= 3)
+
+let test_pool_failure_then_reuse () =
+  (match
+     Concurrent.Domain_pool.map ~domains:3
+       (fun x -> if x = 5 then failwith "task 5" else x)
+       (List.init 12 Fun.id)
+   with
+  | _ -> Alcotest.fail "the failing task did not re-raise"
+  | exception Failure msg -> Alcotest.(check string) "first failure" "task 5" msg);
+  Alcotest.(check (list int))
+    "the next map still works" (List.init 12 succ)
+    (Concurrent.Domain_pool.map ~domains:3 succ (List.init 12 Fun.id))
+
+let test_pool_concurrent_callers () =
+  (* two domains map at once: one gets the helpers, the other runs
+     sequentially; both results are exact *)
+  let work k () =
+    List.init 50 (fun r ->
+        Concurrent.Domain_pool.map_array ~domains:3
+          (fun x -> (x * x) + k + r)
+          (Array.init 16 Fun.id))
+  in
+  let expect k = List.init 50 (fun r -> Array.init 16 (fun x -> (x * x) + k + r)) in
+  let other = Domain.spawn (work 1000) in
+  let mine = work 0 () in
+  let theirs = Domain.join other in
+  check_bool "caller results" true (mine = expect 0);
+  check_bool "other domain results" true (theirs = expect 1000)
+
 let test_evaluate_suite_pool_invariant () =
   (* the acceptance criterion: identical result records at pool size 1
      and N on a small QV suite *)
@@ -259,6 +299,10 @@ let () =
       ( "parallel",
         [
           Alcotest.test_case "map preserves order" `Quick test_parallel_map_order;
+          Alcotest.test_case "helpers persist across maps" `Quick test_pool_helpers_persist;
+          Alcotest.test_case "failure re-raises, pool survives" `Quick
+            test_pool_failure_then_reuse;
+          Alcotest.test_case "concurrent callers" `Quick test_pool_concurrent_callers;
           Alcotest.test_case "evaluate_suite pool invariant" `Slow
             test_evaluate_suite_pool_invariant;
         ] );

@@ -211,6 +211,28 @@ let test_nuop_near_identity () =
   in
   check_bool "<= 2 layers" true (d.Decompose.Nuop.layers <= 2)
 
+let test_nuop_first_start_escapes_saddle () =
+  (* SYC and the QFT controlled-phase targets are symmetric under
+     exchanging the two qubits.  From a start with the same symmetry,
+     exact-gradient BFGS never leaves the symmetric subspace and stops
+     at a saddle (infidelity ~0.4); NuOp's first start breaks it *)
+  let layers = 2 in
+  let dim =
+    Decompose.Template.param_count (Decompose.Template.create Gates.Gate_type.s1 ~layers)
+  in
+  let targets = List.filteri (fun i _ -> i >= 2) (Apps.Su4_unitaries.qft_set ~count:5 ()) in
+  List.iteri
+    (fun i target ->
+      let r =
+        Decompose.Nuop.fit Gates.Gate_type.s1 ~layers ~target
+          (Decompose.Nuop.first_start dim)
+      in
+      check_bool
+        (Printf.sprintf "qft unitary %d reaches 1e-8 (got %.3g)" (i + 3) r.Optimize.Bfgs.f)
+        true
+        (r.Optimize.Bfgs.f <= 1e-8))
+    targets
+
 (* ---------- NuOp circuit emission ---------- *)
 
 let test_nuop_to_circuit_structure () =
@@ -527,6 +549,34 @@ let test_persist_adversarial_loads () =
   check_int "missing file loads zero" 0
     (Decompose.Cache.load_from_file "/nonexistent/nuop-no-such-file.json")
 
+let test_persist_v1_file_is_cold_start () =
+  (* curves now depend on the gradient method, so a snapshot written
+     before the analytic gradient (schema nuop-curves/1) must not warm
+     anything: it loads as a clean error and the next lookup is a miss *)
+  Decompose.Cache.clear ();
+  let u = Gates.Twoq.cphase (Float.pi /. 4.0) in
+  let key =
+    Decompose.Cache.make_key ~target:u ~gate_type:Gates.Gate_type.s3 ~options:fast_options
+  in
+  let v1 =
+    Printf.sprintf {|{"schema": "nuop-curves/1", "entries": [{"key": %S, "curve": [[1, [0.5], 0.25]]}]}|}
+      key
+  in
+  with_temp_file (fun file ->
+      Out_channel.with_open_bin file (fun oc -> output_string oc v1);
+      (match Decompose.Persist.load file with
+      | Ok _ -> Alcotest.fail "nuop-curves/1 parsed as Ok"
+      | Error reason ->
+        check_bool "reason names the schema" true
+          (Astring.String.is_infix ~affix:"nuop-curves/1" reason));
+      check_int "loads zero entries" 0 (Decompose.Cache.load_from_file file);
+      let _, m0 = Decompose.Cache.stats () in
+      let curve = Decompose.Cache.fd_curve ~options:fast_options Gates.Gate_type.s3 ~target:u in
+      check_int "lookup is a miss" (m0 + 1) (snd (Decompose.Cache.stats ()));
+      check_bool "curve computed, not the stale one" true
+        (Array.for_all (fun (_, params, _) -> Array.length params > 1) curve));
+  Decompose.Cache.clear ()
+
 let test_persist_merge_prefers_memory () =
   Decompose.Cache.clear ();
   let key = synthetic_key 7 in
@@ -669,6 +719,8 @@ let () =
           Alcotest.test_case "implemented unitary" `Quick test_nuop_implemented_unitary_matches;
           Alcotest.test_case "full family <= 2" `Quick test_nuop_full_family_two_layers;
           Alcotest.test_case "near identity" `Quick test_nuop_near_identity;
+          Alcotest.test_case "first start escapes the symmetric saddle" `Quick
+            test_nuop_first_start_escapes_saddle;
         ] );
       ( "nuop_circuit",
         [
@@ -700,6 +752,8 @@ let () =
         [
           Alcotest.test_case "roundtrip real curve" `Quick test_persist_roundtrip_real_curve;
           Alcotest.test_case "adversarial loads" `Quick test_persist_adversarial_loads;
+          Alcotest.test_case "nuop-curves/1 is a cold start" `Quick
+            test_persist_v1_file_is_cold_start;
           Alcotest.test_case "merge prefers memory" `Quick test_persist_merge_prefers_memory;
           Alcotest.test_case "validate env file" `Quick test_validate_env_file;
           Alcotest.test_case "parse pool size" `Quick test_parse_pool_size;

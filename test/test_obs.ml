@@ -246,6 +246,24 @@ let test_pool_spans_validate () =
       check_bool "tasks parent on pool.map" true
         (List.for_all (fun j -> Njson.member "parent" j = map_id) task_starts))
 
+let test_pool_spans_across_maps () =
+  (* the same helper domains serve consecutive maps under one trace:
+     every map's task spans still open and close on their domain *)
+  let file = Filename.temp_file "nuop-trace" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+    (fun () ->
+      let maps = 3 and tasks = 8 in
+      Obs.Trace.with_file file (fun () ->
+          for _ = 1 to maps do
+            ignore
+              (Concurrent.Domain_pool.map_array ~domains:4 (fun i -> i + 1)
+                 (Array.init tasks Fun.id))
+          done);
+      match Obs.Trace.check_file file with
+      | Ok s -> check_int "spans" (maps * (tasks + 1)) s.Obs.Trace.spans
+      | Error reason -> Alcotest.failf "pool trace rejected: %s" reason)
+
 (* ---------- repo-wide invariant: instrumentation only via Obs ----------
 
    Raw wall/CPU clocks and direct stderr printing live in lib/obs and
@@ -322,6 +340,7 @@ let () =
         [
           Alcotest.test_case "counter totals exact" `Quick test_pool_counter_totals;
           Alcotest.test_case "spans validate" `Quick test_pool_spans_validate;
+          Alcotest.test_case "spans validate across maps" `Quick test_pool_spans_across_maps;
         ] );
       ( "invariants",
         [
