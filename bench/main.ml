@@ -53,6 +53,19 @@ let micro_tests () =
     !c
   in
   let peephole_errors = Array.make (Qcir.Circuit.length peephole_circuit) 0.0 in
+  (* one 2Q gate followed by its depolarizing channel and amplitude and
+     phase damping on both acting qubits, run on a fresh 6-qubit density
+     operator *)
+  let noisy_model =
+    {
+      Sim.Noisy.ideal with
+      twoq_error = (fun _ _ -> 0.01);
+      t1 = (fun _ -> 20e-6);
+      t2 = (fun _ -> 15e-6);
+      duration_2q = 30e-9;
+    }
+  in
+  let noisy_gate = Qcir.Circuit.add_gate (Qcir.Circuit.empty 6) Gates.Gate.cz [| 2; 4 |] in
   [
     Test.make ~name:"mat4.mul (unboxed)" (Staged.stage (fun () -> Linalg.Mat.mul_into ~dst a b));
     Test.make ~name:"mat4.mul (boxed ref)" (Staged.stage (fun () -> ignore (boxed_mul a b)));
@@ -63,6 +76,8 @@ let micro_tests () =
            ignore (Decompose.Template.infidelity_gradient template params ~target ~grad)));
     Test.make ~name:"statevector 2q gate @16q"
       (Staged.stage (fun () -> Sim.State.apply_matrix state16 syc [| 3; 9 |]));
+    Test.make ~name:"density 2q gate+noise @6q"
+      (Staged.stage (fun () -> ignore (Sim.Noisy.run noisy_model noisy_gate)));
     Test.make ~name:"nuop exact SU4->CZ (1 start)"
       (Staged.stage (fun () ->
            ignore

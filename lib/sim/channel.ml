@@ -1,5 +1,7 @@
-(* Noise channels as Kraus operator sets, and their superoperator forms
-   for the vectorized density simulator.
+(* Noise channels.  The three channels of the paper's noise model are
+   kept as parameters (a kind) and applied in closed form by the density
+   simulator; their Kraus sets are built on demand.  Any other Kraus set
+   is a General channel, applied through its superoperator.
 
    With vec(rho) indexed so that a channel on qubit q acts on index-qubits
    (q, q+n) — ket bit more significant — the superoperator is
@@ -7,10 +9,18 @@
 
 open Linalg
 
-type t = { name : string; kraus : Mat.t list }
+type kind =
+  | Depolarizing of float
+  | Amplitude_damping of float
+  | Phase_damping of float
+  | General of Mat.t list
+
+(* [label] names a General channel; the structured kinds format their
+   names on demand, so building one per gate allocates no string *)
+type t = { dim : int; kind : kind; label : string }
 
 let make name kraus =
-  (match kraus with
+  match kraus with
   | [] -> invalid_arg "Channel.make: no Kraus operators"
   | first :: _ ->
     let d = Mat.rows first in
@@ -19,39 +29,35 @@ let make name kraus =
       List.fold_left (fun acc k -> Mat.add acc (Mat.mul (Mat.dagger k) k)) (Mat.zero d d) kraus
     in
     if not (Mat.equal ~eps:1e-9 acc (Mat.identity d)) then
-      invalid_arg (Printf.sprintf "Channel.make: %s is not trace preserving" name));
-  { name; kraus }
+      invalid_arg (Printf.sprintf "Channel.make: %s is not trace preserving" name);
+    { dim = d; kind = General kraus; label = name }
 
-let name t = t.name
-let kraus t = t.kraus
-let dim t = match t.kraus with k :: _ -> Mat.rows k | [] -> assert false
+let kind t = t.kind
+let dim t = t.dim
 
-let superoperator t =
-  let d = dim t in
-  List.fold_left
-    (fun acc k -> Mat.add acc (Mat.kron k (Mat.conj k)))
-    (Mat.zero (d * d) (d * d))
-    t.kraus
+let name t =
+  match t.kind with
+  | Depolarizing p when t.dim = 2 -> Printf.sprintf "depol1(%.4g)" p
+  | Depolarizing p -> Printf.sprintf "depol2(%.4g)" p
+  | Amplitude_damping gamma -> Printf.sprintf "amp_damp(%.4g)" gamma
+  | Phase_damping lambda -> Printf.sprintf "phase_damp(%.4g)" lambda
+  | General _ -> t.label
 
-let identity d = make "identity" [ Mat.identity d ]
+let real_diag2 a b =
+  let r x = { Complex.re = x; im = 0.0 } in
+  Mat.of_rows [ [ r a; Complex.zero ]; [ Complex.zero; r b ] ]
 
-(* (1-p) rho + p/3 sum_P P rho P over X, Y, Z. *)
-let depolarizing_1q p =
-  assert (p >= 0.0 && p <= 1.0);
-  if p = 0.0 then identity 2
-  else
-    make
-      (Printf.sprintf "depol1(%.4g)" p)
-      (Mat.scale_real (Float.sqrt (1.0 -. p)) Gates.Oneq.identity
-      :: List.map
-           (fun m -> Mat.scale_real (Float.sqrt (p /. 3.0)) m)
-           [ Gates.Oneq.x; Gates.Oneq.y; Gates.Oneq.z ])
-
-(* (1-p) rho + p/15 sum over the 15 non-identity two-qubit Paulis. *)
-let depolarizing_2q p =
-  assert (p >= 0.0 && p <= 1.0);
-  if p = 0.0 then identity 4
-  else begin
+let kraus t =
+  match t.kind with
+  | General kraus -> kraus
+  | Depolarizing p when t.dim = 2 ->
+    (* (1-p) rho + p/3 sum_P P rho P over X, Y, Z *)
+    Mat.scale_real (Float.sqrt (1.0 -. p)) Gates.Oneq.identity
+    :: List.map
+         (fun m -> Mat.scale_real (Float.sqrt (p /. 3.0)) m)
+         [ Gates.Oneq.x; Gates.Oneq.y; Gates.Oneq.z ]
+  | Depolarizing p ->
+    (* (1-p) rho + p/15 sum over the 15 non-identity two-qubit Paulis *)
     let paulis = ref [] in
     for a = 0 to 3 do
       for b = 0 to 3 do
@@ -61,30 +67,46 @@ let depolarizing_2q p =
             :: !paulis
       done
     done;
-    make
-      (Printf.sprintf "depol2(%.4g)" p)
-      (Mat.scale_real (Float.sqrt (1.0 -. p)) (Mat.identity 4)
-      :: List.map (fun m -> Mat.scale_real (Float.sqrt (p /. 15.0)) m) !paulis)
-  end
+    Mat.scale_real (Float.sqrt (1.0 -. p)) (Mat.identity 4)
+    :: List.map (fun m -> Mat.scale_real (Float.sqrt (p /. 15.0)) m) !paulis
+  | Amplitude_damping gamma ->
+    let k1 = Mat.zero 2 2 in
+    Mat.set k1 0 1 { Complex.re = Float.sqrt gamma; im = 0.0 };
+    [ real_diag2 1.0 (Float.sqrt (1.0 -. gamma)); k1 ]
+  | Phase_damping lambda ->
+    [ real_diag2 1.0 (Float.sqrt (1.0 -. lambda)); real_diag2 0.0 (Float.sqrt lambda) ]
+
+let superoperator t =
+  let d = dim t in
+  List.fold_left
+    (fun acc k -> Mat.add acc (Mat.kron k (Mat.conj k)))
+    (Mat.zero (d * d) (d * d))
+    (kraus t)
+
+let identity d = make "identity" [ Mat.identity d ]
+
+let check_unit fn x =
+  if not (x >= 0.0 && x <= 1.0) then
+    invalid_arg (Printf.sprintf "Channel.%s: %g is not in [0, 1]" fn x)
+
+let depolarizing_1q p =
+  check_unit "depolarizing_1q" p;
+  if p = 0.0 then identity 2 else { dim = 2; kind = Depolarizing p; label = "" }
+
+let depolarizing_2q p =
+  check_unit "depolarizing_2q" p;
+  if p = 0.0 then identity 4 else { dim = 4; kind = Depolarizing p; label = "" }
 
 (* T1 relaxation for duration t: gamma = 1 - exp(-t/T1). *)
 let amplitude_damping gamma =
-  assert (gamma >= 0.0 && gamma <= 1.0);
-  let z = { Complex.re = 0.0; im = 0.0 } in
-  let r x = { Complex.re = x; im = 0.0 } in
-  let k0 = Mat.of_rows [ [ r 1.0; z ]; [ z; r (Float.sqrt (1.0 -. gamma)) ] ] in
-  let k1 = Mat.of_rows [ [ z; r (Float.sqrt gamma) ]; [ z; z ] ] in
-  make (Printf.sprintf "amp_damp(%.4g)" gamma) [ k0; k1 ]
+  check_unit "amplitude_damping" gamma;
+  { dim = 2; kind = Amplitude_damping gamma; label = "" }
 
 (* Pure dephasing for duration t: lambda = 1 - exp(-t/Tphi) with
    1/Tphi = 1/T2 - 1/(2 T1). *)
 let phase_damping lambda =
-  assert (lambda >= 0.0 && lambda <= 1.0);
-  let z = { Complex.re = 0.0; im = 0.0 } in
-  let r x = { Complex.re = x; im = 0.0 } in
-  let k0 = Mat.of_rows [ [ r 1.0; z ]; [ z; r (Float.sqrt (1.0 -. lambda)) ] ] in
-  let k1 = Mat.of_rows [ [ z; z ]; [ z; r (Float.sqrt lambda) ] ] in
-  make (Printf.sprintf "phase_damp(%.4g)" lambda) [ k0; k1 ]
+  check_unit "phase_damping" lambda;
+  { dim = 2; kind = Phase_damping lambda; label = "" }
 
 let damping_params ~t1 ~t2 ~duration =
   let gamma = 1.0 -. Float.exp (-.duration /. t1) in

@@ -34,7 +34,30 @@ val fidelity_pure : t -> t -> float
 val apply_matrix : t -> Mat.t -> int array -> unit
 (** Apply a 2^k x 2^k matrix to the listed qubits; [qubits.(0)] is the
     most significant bit of the matrix index.  The matrix need not be
-    unitary (the density simulator applies superoperators). *)
+    unitary (the density simulator applies superoperators).  k = 1 and
+    k = 2 run unrolled stride kernels, bit-identical to
+    {!apply_matrix_generic}.  Raises [Invalid_argument] for a qubit out
+    of range, a repeated qubit, or a matrix that is not 2^k x 2^k. *)
+
+val apply_matrix_conj : t -> Mat.t -> offset:int -> int array -> unit
+(** [apply_matrix_conj t m ~offset qs] applies [conj m] to the qubits
+    [qs.(j) + offset] without copying [m] or [qs]: the bra half of a
+    unitary in the vectorized density simulator. *)
+
+val apply_matrix_generic : t -> Mat.t -> int array -> unit
+(** The general gather/scatter kernel for any k, which {!apply_matrix}
+    uses for k > 2.  Exposed as the reference for the stride kernels. *)
+
+val apply_pauli : t -> int -> int -> unit
+(** [apply_pauli t index q] applies Pauli [index] (1 = X, 2 = Y, 3 = Z)
+    to qubit [q] by swaps and sign flips.  The amplitudes equal
+    {!apply_matrix} with [Gates.Oneq.pauli_of_index index] up to the sign
+    of zeros. *)
+
+val unsafe_re : t -> float array
+val unsafe_im : t -> float array
+(** The live amplitude storage (real and imaginary parts), for the
+    allocation-free kernels of the other simulators. *)
 
 val apply_instr : t -> Qcir.Instr.t -> unit
 val run_circuit : Qcir.Circuit.t -> t

@@ -17,11 +17,10 @@ let apply_pauli rng state qubits =
   let k = Array.length qubits in
   let n_paulis = (1 lsl (2 * k)) - 1 in
   let pick = 1 + Rng.int rng n_paulis in
-  Array.iteri
-    (fun j q ->
-      let idx = (pick lsr (2 * j)) land 3 in
-      if idx <> 0 then State.apply_matrix state (Gates.Oneq.pauli_of_index idx) [| q |])
-    qubits
+  for j = 0 to k - 1 do
+    let idx = (pick lsr (2 * j)) land 3 in
+    if idx <> 0 then State.apply_pauli state idx qubits.(j)
+  done
 
 (* Kraus trajectory for a single-qubit channel given as [k0; k1]:
    apply K0 with probability ||K0 psi||^2, else K1; renormalize.
@@ -47,38 +46,40 @@ let apply_kraus_branch rng state kraus q =
    K1 moves each |..1..> amplitude to |..0..>; K0 scales the excited
    amplitudes by sqrt(1-gamma).  Both branches renormalize. *)
 let apply_amplitude_damping rng state q gamma =
+  let re = State.unsafe_re state and im = State.unsafe_im state in
   let dim = State.dim state in
   let bit = 1 lsl q in
   let p_excited = ref 0.0 in
   for idx = 0 to dim - 1 do
-    if idx land bit <> 0 then p_excited := !p_excited +. State.probability state idx
+    if idx land bit <> 0 then
+      p_excited := !p_excited +. ((re.(idx) *. re.(idx)) +. (im.(idx) *. im.(idx)))
   done;
   let p_decay = gamma *. !p_excited in
-  if Rng.float rng < p_decay then begin
+  if Rng.float rng < p_decay then
     for idx = 0 to dim - 1 do
       if idx land bit <> 0 then begin
-        State.set_amplitude state (idx lxor bit) (State.amplitude state idx);
-        State.set_amplitude state idx Complex.zero
+        re.(idx lxor bit) <- re.(idx);
+        im.(idx lxor bit) <- im.(idx);
+        re.(idx) <- 0.0;
+        im.(idx) <- 0.0
       end
-    done;
-    State.normalize state
-  end
+    done
   else begin
     let scale = Float.sqrt (1.0 -. gamma) in
     for idx = 0 to dim - 1 do
       if idx land bit <> 0 then begin
-        let a = State.amplitude state idx in
-        State.set_amplitude state idx (Linalg.Cplx.scale scale a)
+        re.(idx) <- scale *. re.(idx);
+        im.(idx) <- scale *. im.(idx)
       end
-    done;
-    State.normalize state
-  end
+    done
+  end;
+  State.normalize state
 
 (* Phase damping with parameter lambda equals a phase-flip channel with
    probability p = (1 - sqrt(1 - lambda)) / 2 — a cheap stochastic Z. *)
 let apply_phase_damping rng state q lambda =
   let p = (1.0 -. Float.sqrt (1.0 -. lambda)) /. 2.0 in
-  if Rng.float rng < p then State.apply_matrix state Gates.Oneq.z [| q |]
+  if Rng.float rng < p then State.apply_pauli state 3 q
 
 let apply_decoherence rng (model : noise_model) state q duration =
   if Float.is_finite (model.t1 q) && duration > 0.0 then begin

@@ -326,8 +326,89 @@ let circuit_arb ?(n_qubits = 3) ?(max_length = 12) () =
   arb ~shrink:Proptest.Shrink.circuit ~print:Qcir.Circuit.to_string
     (G.circuit ~n_qubits ~max_length ())
 
+(* a random n-qubit state, unnormalized (the kernels need not care) *)
+let random_state n rng =
+  let s = Sim.State.create n in
+  for k = 0 to (1 lsl n) - 1 do
+    Sim.State.set_amplitude s k (complex_entry rng)
+  done;
+  s
+
+(* [k] distinct qubits of [n] in random order *)
+let distinct_qubits n k rng =
+  let q0 = Rng.int rng n in
+  if k = 1 then [| q0 |] else [| q0; (q0 + 1 + Rng.int rng (n - 1)) mod n |]
+
+(* (n, qubits, matrix, state seed): a random non-unitary 2^k x 2^k
+   matrix on k in {1, 2} random distinct qubits of an n-qubit register *)
+let kernel_case =
+  G.bind (G.int_range 2 8) (fun n ->
+      G.bind (G.int_range 1 2) (fun k ->
+          G.map2
+            (fun (qs, m) seed -> (n, qs, m, seed))
+            (G.pair (distinct_qubits n k) (random_mat (1 lsl k)))
+            (G.int_range 0 1_000_000)))
+
+let print_qubits qs = String.concat "; " (Array.to_list (Array.map string_of_int qs))
+
+let print_kernel_case (n, qs, m, seed) =
+  Printf.sprintf "n = %d, qubits [%s], state seed %d\n%s" n (print_qubits qs) seed (pm m)
+
+(* a mixed n-qubit state with coherences: a random pure state, mixed by
+   a general (Kraus-path) channel, then entangled by a Haar unitary *)
+let mixed_state n rng =
+  let psi = random_state n rng in
+  Sim.State.normalize psi;
+  let rho = Sim.Density.of_statevector psi in
+  let noise = Sim.Channel.depolarizing_1q (Rng.uniform rng 0.05 0.5) in
+  Sim.Density.apply_channel rho
+    (Sim.Channel.make "mix" (Sim.Channel.kraus noise))
+    (distinct_qubits n 1 rng);
+  if n >= 2 then Sim.Density.apply_unitary rho (G.unitary 4 rng) (distinct_qubits n 2 rng);
+  rho
+
+(* one of the structured channels on random qubits of n *)
+let structured_channel n rng =
+  let x = Rng.float rng in
+  match Rng.int rng (if n >= 2 then 4 else 3) with
+  | 0 -> (Sim.Channel.depolarizing_1q x, distinct_qubits n 1 rng)
+  | 1 -> (Sim.Channel.amplitude_damping x, distinct_qubits n 1 rng)
+  | 2 -> (Sim.Channel.phase_damping x, distinct_qubits n 1 rng)
+  | _ -> (Sim.Channel.depolarizing_2q x, distinct_qubits n 2 rng)
+
+let channel_case =
+  G.bind (G.int_range 1 4) (fun n ->
+      G.map2 (fun (ch, qs) seed -> (n, ch, qs, seed)) (structured_channel n) (G.int_range 0 1_000_000))
+
+let print_channel_case (n, ch, qs, seed) =
+  Printf.sprintf "n = %d, %s on [%s], state seed %d" n (Sim.Channel.name ch) (print_qubits qs)
+    seed
+
 let sim =
   [
+    test "stride kernels equal the generic kernel" ~count:30
+      (arb ~print:print_kernel_case kernel_case)
+      (fun (n, qs, m, seed) ->
+        let a = random_state n (Rng.create seed) in
+        let b = Sim.State.copy a in
+        Sim.State.apply_matrix a m qs;
+        Sim.State.apply_matrix_generic b m qs;
+        Sim.State.probabilities a = Sim.State.probabilities b);
+    test "closed-form channels equal the Kraus sum" ~count:30
+      (arb ~print:print_channel_case channel_case)
+      (fun (n, ch, qs, seed) ->
+        let a = mixed_state n (Rng.create seed) in
+        let b = Sim.Density.copy a in
+        Sim.Density.apply_channel a ch qs;
+        Sim.Density.apply_channel b (Sim.Channel.make (Sim.Channel.name ch) (Sim.Channel.kraus ch)) qs;
+        let ok = ref true in
+        for r = 0 to (1 lsl n) - 1 do
+          for c = 0 to (1 lsl n) - 1 do
+            let d = Complex.sub (Sim.Density.get a r c) (Sim.Density.get b r c) in
+            if Complex.norm d > 1e-12 then ok := false
+          done
+        done;
+        !ok);
     test "state and density agree on ideal circuits" ~count:10
       (circuit_arb ())
       (fun c ->

@@ -67,6 +67,28 @@ let test_state_inner () =
   let c = Sim.State.of_basis 2 2 in
   check_float "orthogonal" 0.0 (Complex.norm (Sim.State.inner a c))
 
+(* Argument faults are typed errors naming the fault, raised before any
+   amplitude moves. *)
+let test_state_apply_errors () =
+  let s = Sim.State.create 3 in
+  Sim.State.apply_matrix s Gates.Oneq.h [| 0 |];
+  let before = Sim.State.copy s in
+  let raises name msg f =
+    Alcotest.check_raises name (Invalid_argument msg) f;
+    check_bool (name ^ ": state untouched") true
+      (Sim.State.probabilities s = Sim.State.probabilities before)
+  in
+  raises "qubit out of range" "State.apply_matrix: qubit 3 out of range for 3 qubits"
+    (fun () -> Sim.State.apply_matrix s Gates.Twoq.cnot [| 0; 3 |]);
+  raises "negative qubit" "State.apply_matrix: qubit -1 out of range for 3 qubits"
+    (fun () -> Sim.State.apply_matrix s Gates.Oneq.x [| -1 |]);
+  raises "repeated qubit" "State.apply_matrix: qubit 1 repeated" (fun () ->
+      Sim.State.apply_matrix s Gates.Twoq.cnot [| 1; 1 |]);
+  raises "repeated qubit (generic path)" "State.apply_matrix: qubit 2 repeated" (fun () ->
+      Sim.State.apply_matrix s (Mat.identity 8) [| 2; 0; 2 |]);
+  raises "matrix size" "State.apply_matrix: 4x4 matrix for 1 qubits (expected 2x2)"
+    (fun () -> Sim.State.apply_matrix s Gates.Twoq.cnot [| 0 |])
+
 (* ---------- Channel ---------- *)
 
 let test_channel_trace_preserving_check () =
@@ -151,6 +173,18 @@ let test_density_of_statevector () =
   let rho = Sim.Density.of_statevector s in
   check_loose "fidelity" 1.0 (Sim.Density.fidelity_with_pure rho s);
   check_loose "purity" 1.0 (Sim.Density.purity rho)
+
+let test_density_apply_errors () =
+  let rho = Sim.Density.create 2 in
+  Alcotest.check_raises "bra bit is not a qubit"
+    (Invalid_argument "Density.apply_unitary: qubit 2 out of range for 2 qubits") (fun () ->
+      Sim.Density.apply_unitary rho Gates.Oneq.x [| 2 |]);
+  Alcotest.check_raises "channel width"
+    (Invalid_argument "Density.apply_channel: depol2(0.1) acts on 4 levels, given 1 qubits")
+    (fun () -> Sim.Density.apply_channel rho (Sim.Channel.depolarizing_2q 0.1) [| 0 |]);
+  Alcotest.check_raises "repeated qubit"
+    (Invalid_argument "Density.apply_channel: qubit 1 repeated") (fun () ->
+      Sim.Density.apply_channel rho (Sim.Channel.depolarizing_2q 0.1) [| 1; 1 |])
 
 (* ---------- Noisy ---------- *)
 
@@ -451,6 +485,7 @@ let () =
           Alcotest.test_case "kron embedding" `Quick test_state_matches_kron_embedding;
           Alcotest.test_case "norm preserved" `Quick test_state_norm_preserved;
           Alcotest.test_case "inner" `Quick test_state_inner;
+          Alcotest.test_case "apply errors" `Quick test_state_apply_errors;
         ] );
       ( "channel",
         [
@@ -469,6 +504,7 @@ let () =
           Alcotest.test_case "channels keep trace" `Quick test_density_channel_preserves_trace;
           Alcotest.test_case "amp damping" `Quick test_density_amplitude_damping_fixed_point;
           Alcotest.test_case "of_statevector" `Quick test_density_of_statevector;
+          Alcotest.test_case "apply errors" `Quick test_density_apply_errors;
         ] );
       ( "noisy",
         [
