@@ -447,27 +447,14 @@ let weyl_cmd =
     (Cmd.info "weyl" ~doc:"Weyl-chamber analysis of a two-qubit unitary")
     Term.(const run $ target_term)
 
-(* ---------- experiment / design ---------- *)
+(* ---------- experiment ---------- *)
 
 let paper_arg = Arg.(value & flag & info [ "paper" ] ~doc:"Paper-scale sample counts.")
-
-let json_arg =
-  Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON instead of text.")
-
-let config paper = if paper then Core.Config.paper else Core.Config.quick
 
 let with_output output f =
   match output with
   | None -> f stdout
   | Some file -> Out_channel.with_open_text file f
-
-(* the report as text or JSON, on stdout or into a file *)
-let emit_report ~name ~description json output doc =
-  with_output output (fun oc ->
-      output_string oc
-        (if json then Njson.to_string (Core.Report.to_json ~name ~description doc) ^ "\n"
-         else Core.Report.render_text doc);
-      flush oc)
 
 (* BENCH_<date>.json names and the artifact's "date" stamp in UTC
    (Obs.Clock wraps gmtime), so a run's artifact name does not depend on
@@ -581,7 +568,7 @@ let experiment_cmd =
         (fun name -> if is_all name then Core.Registry.all else [ Core.Registry.find_exn name ])
         names
     in
-    let cfg = config paper in
+    let cfg = if paper then Core.Config.paper else Core.Config.quick in
     match (json, cache) with
     | true, Some _ -> invalid_arg "--cache and --json cannot be combined"
     | false, Some file -> with_output output (fun oc -> run_cached oc cfg file entries)
@@ -614,32 +601,6 @@ let experiment_cmd =
       const run $ names_arg $ paper_arg $ json
       $ output_arg "Write the reports (or the artifact) to $(docv)."
       $ cache)
-
-let design_cmd =
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:"Tiny candidate pool and sample set (seconds; used by the CI alias).")
-  in
-  let qubits =
-    Arg.(
-      value & opt int 54
-      & info [ "qubits" ] ~docv:"N" ~doc:"Device size for the calibration-cost model.")
-  in
-  let run paper smoke qubits json output =
-    emit_report ~name:"design" ~description:"searched instruction sets (Pareto frontier)"
-      json output
-      (Core.Design.doc ~cfg:(config paper) ~n_qubits:qubits ~smoke ())
-  in
-  Cmd.v
-    (Cmd.info "design"
-       ~doc:
-         "Search a candidate gate-type pool for the expressivity-vs-calibration \
-          Pareto frontier of instruction sets")
-    Term.(
-      const run $ paper_arg $ smoke $ qubits $ json_arg
-      $ output_arg "Write the report to $(docv).")
 
 (* ---------- trace ---------- *)
 
@@ -844,7 +805,6 @@ let () =
         qasm_cmd;
         weyl_cmd;
         experiment_cmd;
-        design_cmd;
         trace_cmd;
         serve_cmd;
         request_cmd;

@@ -21,8 +21,15 @@ let () =
     (Isa.Set.name isa)
     (Qcir.Circuit.length compiled.Compiler.Pipeline.circuit)
     compiled.Compiler.Pipeline.twoq_count compiled.Compiler.Pipeline.swap_count;
-  Printf.printf "pass trace:\n%s\n"
-    (Format.asprintf "%a" Compiler.Pass_manager.pp metrics);
+  let table = Compiler.Pass_manager.header :: Compiler.Pass_manager.rows metrics in
+  let width i = List.fold_left (fun w row -> max w (String.length (List.nth row i))) 0 table in
+  print_endline "pass trace:";
+  List.iter
+    (fun row ->
+      print_endline
+        (String.concat "  " (List.mapi (fun i cell -> Printf.sprintf "%-*s" (width i) cell) row)))
+    table;
+  print_newline ();
   let qasm = Qcir.Qasm.to_string compiled.Compiler.Pipeline.circuit in
   (match Sys.argv with
   | [| _; path |] ->

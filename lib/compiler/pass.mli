@@ -72,10 +72,10 @@ val placement : t
 (** Noise-aware best-line placement ([Mapping.best_line]); a placement
     already present in the context (caller-provided) is kept. *)
 
-val route : ?directional:bool -> unit -> t
-(** SWAP-insertion routing ({!Router.route}) with the instruction set's
-    calibrated error rates as the tie-break edge cost.
-    [directional:false] forces the legacy first-operand walk. *)
+val route : t
+(** SWAP-insertion routing ({!Router.route}, directional walk) with the
+    instruction set's calibrated error rates as the tie-break edge
+    cost. *)
 
 val lower : t
 (** Noise-adaptive NuOp lowering: each routed two-qubit application
@@ -88,9 +88,9 @@ val merge_oneq : t
     Eq 2's F_h charges.  Preserves the circuit unitary up to global
     phase. *)
 
-val elide_trivial : ?tol:float -> unit -> t
+val elide_trivial : t
 (** Drops instructions whose gate is the identity up to global phase
-    within [tol] (default 1e-7) — e.g. zero-angle decompositions. *)
+    within 1e-7 — e.g. zero-angle decompositions. *)
 
 val compact : t
 (** Renumbers the circuit onto the qubits it actually touches, recording
@@ -134,7 +134,7 @@ val errors_of_decomposition :
 (** {2 Rewrites behind the peephole passes} (exposed for tests/benches) *)
 
 val merge_oneq_rewrite : Qcir.Circuit.t -> float array -> Qcir.Circuit.t * float array
-val elide_rewrite : ?tol:float -> Qcir.Circuit.t -> float array -> Qcir.Circuit.t * float array
+val elide_rewrite : Qcir.Circuit.t -> float array -> Qcir.Circuit.t * float array
 
 (** {2 Stacks} *)
 
@@ -146,5 +146,3 @@ val default_stack : t list
 val optimized_stack : t list
 (** [default_stack] plus [merge_oneq] and [elide_trivial] before
     compaction. *)
-
-val find_in : t list -> string -> t option

@@ -91,8 +91,6 @@ let run stack ctx =
     "pass_manager.run"
     (fun () -> List.map (fun pass -> run_pass pass ctx) stack)
 
-let total_time metrics = List.fold_left (fun acc m -> acc +. m.time_s) 0.0 metrics
-
 (* ---------- rendering (header + rows for a Core.Report.Table block) ---------- *)
 
 let header = [ "pass"; "time"; "1Q"; "2Q"; "SWAPs"; "depth"; "duration"; "cache h/m" ]
@@ -129,11 +127,3 @@ let row m =
   ]
 
 let rows metrics = List.map row metrics
-
-let pp ppf metrics =
-  List.iter
-    (fun m ->
-      Fmt.pf ppf "%-10s %8.1f ms  1Q %4d  2Q %4d  depth %4d  dur %6.0f ns  cache %s@."
-        m.pass_name (1000.0 *. m.time_s) m.oneq_after m.twoq_after m.depth_after
-        (1e9 *. m.duration_after) (cache_cell m))
-    metrics

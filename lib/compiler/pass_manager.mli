@@ -27,12 +27,8 @@ val run : Pass.t list -> Pass.Context.t -> pass_metrics list
 (** Run the stack in order, mutating the context; one metrics record per
     pass. *)
 
-val total_time : pass_metrics list -> float
-
 (** Rendering helpers: a header and rows for a [Core.Report.Table] block
     (also used by the CLI's [compile --trace-passes]). *)
 
 val header : string list
 val rows : pass_metrics list -> string list list
-
-val pp : Format.formatter -> pass_metrics list -> unit

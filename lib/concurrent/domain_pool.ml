@@ -18,11 +18,6 @@
    (suite evaluation over circuits calls the multistart optimizer, which
    is itself a pool client). *)
 
-let default_domains_override = ref None
-
-let set_default_domains n =
-  default_domains_override := if n <= 0 then None else Some n
-
 let parse_pool_size s =
   match int_of_string_opt (String.trim s) with
   | Some n when n > 0 -> Ok n
@@ -34,20 +29,16 @@ let parse_pool_size s =
    is reported once (Obs.Log's built-in warn-once) and the pool falls
    back to the machine default instead. *)
 let default_domains () =
-  match !default_domains_override with
-  | Some n -> n
-  | None -> (
-    match Sys.getenv_opt "NUOP_DOMAINS" with
-    | Some s -> (
-      match parse_pool_size s with
-      | Ok n -> n
-      | Error reason ->
-        let fallback = Domain.recommended_domain_count () in
-        Obs.Log.warn_once ~key:"NUOP_DOMAINS"
-          "nuop: ignoring invalid NUOP_DOMAINS=%S (%s); using %d domains" s reason
-          fallback;
-        fallback)
-    | None -> Domain.recommended_domain_count ())
+  match Sys.getenv_opt "NUOP_DOMAINS" with
+  | Some s -> (
+    match parse_pool_size s with
+    | Ok n -> n
+    | Error reason ->
+      let fallback = Domain.recommended_domain_count () in
+      Obs.Log.warn_once ~key:"NUOP_DOMAINS"
+        "nuop: ignoring invalid NUOP_DOMAINS=%S (%s); using %d domains" s reason fallback;
+      fallback)
+  | None -> Domain.recommended_domain_count ()
 
 (* true while executing inside a pool worker (per-domain flag) *)
 let inside_pool_key : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)

@@ -12,12 +12,8 @@
     caller instead of waiting. *)
 
 val default_domains : unit -> int
-(** Pool size used when [?domains] is omitted: the [set_default_domains]
-    override if set, else the [NUOP_DOMAINS] environment variable, else
-    [Domain.recommended_domain_count ()]. *)
-
-val set_default_domains : int -> unit
-(** Process-wide override of the default pool size ([<= 0] clears it). *)
+(** Pool size used when [?domains] is omitted: the [NUOP_DOMAINS]
+    environment variable, else [Domain.recommended_domain_count ()]. *)
 
 val parse_pool_size : string -> (int, string) result
 (** Parse a [NUOP_DOMAINS]-style value: a positive integer (surrounding

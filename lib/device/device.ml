@@ -69,28 +69,26 @@ let aspen8 ?(seed = 11) ?(types = Aspen8.default_types) () =
     provenance = Provenance.fresh ~seed ();
   }
 
-let sycamore ?(seed = 23) ?vary ?types ?family_error_scale ?mu ?sigma ?oneq () =
-  let type_list = match types with None -> Sycamore.default_types | Some t -> t in
+let sycamore_device ~name ~description ~seed ~types calibration =
   {
-    name = "sycamore54";
-    description = "Google Sycamore: 54 qubits on a 6x9 grid, N(0.62%, 0.24%) errors";
-    calibration =
-      Sycamore.device ~seed ?vary ?types ?family_error_scale ?mu ?sigma ?oneq ();
-    native_isa = Isa_set.make "sycamore-native" type_list;
+    name;
+    description;
+    calibration;
+    native_isa = Isa_set.make "sycamore-native" types;
     provenance = Provenance.fresh ~seed ();
   }
 
-let sycamore_line ?(seed = 23) ?vary ?types ?family_error_scale ?mu ?sigma ?oneq k =
-  let type_list = match types with None -> Sycamore.default_types | Some t -> t in
-  {
-    name = "sycamore";
-    description =
-      Printf.sprintf "Google Sycamore sub-device: line of %d qubits, same error model" k;
-    calibration =
-      Sycamore.line_device ~seed ?vary ?types ?family_error_scale ?mu ?sigma ?oneq k;
-    native_isa = Isa_set.make "sycamore-native" type_list;
-    provenance = Provenance.fresh ~seed ();
-  }
+let sycamore () =
+  sycamore_device ~name:"sycamore54"
+    ~description:"Google Sycamore: 54 qubits on a 6x9 grid, N(0.62%, 0.24%) errors"
+    ~seed:23 ~types:Sycamore.default_types (Sycamore.device ())
+
+let sycamore_line ?(seed = 23) ?(types = Sycamore.default_types) ?vary ?mu ?sigma ?oneq k =
+  let description =
+    Printf.sprintf "Google Sycamore sub-device: line of %d qubits, same error model" k
+  in
+  sycamore_device ~name:"sycamore" ~description ~seed ~types
+    (Sycamore.line_device ~seed ?vary ~types ?mu ?sigma ?oneq k)
 
 (* ---------- registry ---------- *)
 

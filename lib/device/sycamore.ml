@@ -57,18 +57,18 @@ let sample_error ?(mu = err_mu) ?(sigma = err_sigma) rng =
   let e = Linalg.Rng.gaussian_mu_sigma rng ~mu ~sigma in
   Float.max err_min (Float.min err_max e)
 
-let device ?(seed = 23) ?(vary = true) ?(types = default_types)
-    ?(family_error_scale = 1.0) ?(mu = err_mu) ?(sigma = err_sigma)
-    ?(oneq = oneq_error_rate) () =
-  let topology = Topology.grid rows cols in
+(* One calibration over any topology: a base error per edge (used
+   directly when [vary = false], and as the continuous-family error
+   either way), then one draw per gate type and edge. *)
+let generate ?(seed = 23) ?(vary = true) ?(types = default_types) ?(mu = err_mu)
+    ?(sigma = err_sigma) ?(oneq = oneq_error_rate) topology =
+  let n = Topology.n_qubits topology in
   let rng = Linalg.Rng.create seed in
   let edges = Topology.edges topology in
-  (* one base error per edge; used directly when [vary = false] and as the
-     continuous-family error either way *)
-  let edge_base = Hashtbl.create 128 in
+  let edge_base = Hashtbl.create (List.length edges) in
   List.iter (fun e -> Hashtbl.replace edge_base e (sample_error ~mu ~sigma rng)) edges;
   let family_rng = Linalg.Rng.child rng in
-  let family_base = Hashtbl.create 128 in
+  let family_base = Hashtbl.create (List.length edges) in
   List.iter
     (fun e ->
       let v = if vary then sample_error ~mu ~sigma family_rng else Hashtbl.find edge_base e in
@@ -77,11 +77,10 @@ let device ?(seed = 23) ?(vary = true) ?(types = default_types)
   let family_error e _angles = Hashtbl.find family_base (Topology.canonical e) in
   let cal =
     Calibration.make ~topology
-      ~oneq_error:(Array.make n_qubits oneq)
-      ~readout_error:(Array.make n_qubits readout_error_rate)
-      ~t1:(Array.make n_qubits t1_seconds)
-      ~t2:(Array.make n_qubits t2_seconds)
-      ~duration_1q ~duration_2q ~family_error ~family_error_scale ()
+      ~oneq_error:(Array.make n oneq)
+      ~readout_error:(Array.make n readout_error_rate)
+      ~t1:(Array.make n t1_seconds) ~t2:(Array.make n t2_seconds) ~duration_1q
+      ~duration_2q ~family_error ()
   in
   List.iter
     (fun ty ->
@@ -94,42 +93,13 @@ let device ?(seed = 23) ?(vary = true) ?(types = default_types)
   set_durations cal edges;
   cal
 
+let device () = generate (Topology.grid rows cols)
+
 (* A small sub-device for the 3-6 qubit benchmarks: first [k] qubits of a
    grid row (a line), with the same error model. *)
-let line_device ?(seed = 23) ?(vary = true) ?(types = default_types)
-    ?(family_error_scale = 1.0) ?(mu = err_mu) ?(sigma = err_sigma)
-    ?(oneq = oneq_error_rate) k =
+let line_device ?seed ?vary ?types ?mu ?sigma ?oneq k =
   if k < 2 || k > 30 then
     invalid_arg
       (Printf.sprintf "Sycamore.line_device: %d qubits is outside the supported range 2..30"
          k);
-  let topology = Topology.line k in
-  let rng = Linalg.Rng.create seed in
-  let edges = Topology.edges topology in
-  let edge_base = Hashtbl.create 16 in
-  List.iter (fun e -> Hashtbl.replace edge_base e (sample_error ~mu ~sigma rng)) edges;
-  let family_rng = Linalg.Rng.child rng in
-  let family_base = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      let v = if vary then sample_error ~mu ~sigma family_rng else Hashtbl.find edge_base e in
-      Hashtbl.replace family_base e v)
-    edges;
-  let family_error e _angles = Hashtbl.find family_base (Topology.canonical e) in
-  let cal =
-    Calibration.make ~topology
-      ~oneq_error:(Array.make k oneq)
-      ~readout_error:(Array.make k readout_error_rate)
-      ~t1:(Array.make k t1_seconds) ~t2:(Array.make k t2_seconds) ~duration_1q
-      ~duration_2q ~family_error ~family_error_scale ()
-  in
-  List.iter
-    (fun ty ->
-      List.iter
-        (fun e ->
-          let err = if vary then sample_error ~mu ~sigma rng else Hashtbl.find edge_base e in
-          Calibration.set_twoq_error cal e ty err)
-        edges)
-    types;
-  set_durations cal edges;
-  cal
+  generate ?seed ?vary ?types ?mu ?sigma ?oneq (Topology.line k)

@@ -25,22 +25,13 @@ val type_durations : (Gates.Gate_type.t * float) list
     instance: SYC at 12 ns up to SWAP at 78 ns (3x CZ).  Types not
     listed fall back to the 32 ns device scalar. *)
 
-val device :
-  ?seed:int ->
-  ?vary:bool ->
-  ?types:Gates.Gate_type.t list ->
-  ?family_error_scale:float ->
-  ?mu:float ->
-  ?sigma:float ->
-  ?oneq:float ->
-  unit ->
-  Calibration.t
+val device : unit -> Calibration.t
+(** The full 54-qubit grid (seed 23). *)
 
 val line_device :
   ?seed:int ->
   ?vary:bool ->
   ?types:Gates.Gate_type.t list ->
-  ?family_error_scale:float ->
   ?mu:float ->
   ?sigma:float ->
   ?oneq:float ->

@@ -96,20 +96,23 @@ type app = {
   suite : Linalg.Rng.t -> count:int -> int -> Qcir.Circuit.t list;
   metric : Core.Study.metric;
   min_qubits : int;
+  even : bool;  (** widths above 4 must be even (narrower ones widen to 4) *)
 }
 
 let single f _ ~count:_ n = [ f n ]
 
-(* name, generator, study metric, narrowest width *)
+(* name, generator, study metric, narrowest width, even widths only *)
 let apps =
   List.map
-    (fun (name, suite, metric, min_qubits) -> { name; suite; metric; min_qubits })
+    (fun (name, suite, metric, min_qubits, even) ->
+      { name; suite; metric; min_qubits; even })
     Core.Study.
       [
-        ("qv", Apps.Qv.circuits, Hop, 2);
-        ("qaoa", Apps.Qaoa.circuits, Xed, 2);
-        ("qft", single Apps.Qft.circuit, State_fidelity, 1);
-        ("fh", single (fun n -> Apps.Fermi_hubbard.circuit (max 4 n)), Xeb_fidelity, 1);
+        ("qv", Apps.Qv.circuits, Hop, 2, false);
+        ("qaoa", Apps.Qaoa.circuits, Xed, 2, false);
+        ("qft", single Apps.Qft.circuit, State_fidelity, 1, false);
+        ( "fh", single (fun n -> Apps.Fermi_hubbard.circuit (max 4 n)),
+          Xeb_fidelity, 1, true );
       ]
 
 let find_app name =
@@ -195,13 +198,15 @@ let guard f =
   | exception Qcir.Qasm.Parse_error e ->
     Error (bad "QASM circuit: %s" (Qcir.Qasm.error_to_string e))
 
-(* The benchmark a body names, checked against its app's narrowest width. *)
+(* The benchmark a body names, checked against its app's width rules. *)
 let read_app body =
   let* a = find_app (get body app) in
   let n = get body qubits in
   if n < a.min_qubits then
     Error
       (bad "field \"qubits\" must be >= %d for app %S (got %d)" a.min_qubits a.name n)
+  else if a.even && n > 4 && n mod 2 = 1 then
+    Error (bad "field \"qubits\" must be even for app %S (got %d)" a.name n)
   else Ok a
 
 (* The device a body names, sized for [circuits], which must fit on it. *)

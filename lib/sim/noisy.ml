@@ -1,9 +1,12 @@
-(* Noisy circuit execution on the exact density simulator.
+(* Noisy circuit execution: the paper's Qiskit Aer noise policy (Sec VI),
+   written once.
 
-   Mirrors the paper's Qiskit Aer setup (Sec VI): depolarizing noise
-   scaled by the gate error rate after every gate, plus amplitude damping
-   (T1) and dephasing (T2) on the acting qubits for the gate duration.
+   After every gate, depolarizing noise at the gate's error rate, then
+   amplitude damping (T1) and dephasing (T2) for the gate's duration.
    Readout error is applied classically to the final probabilities.
+   [execute] walks a circuit and applies this policy to any simulator
+   state through four operations; the exact density simulator below and
+   the Monte Carlo sampler (Trajectory) are its two consumers.
 
    The per-instruction two-qubit error rate comes from a caller-supplied
    function (the compiler pipeline computes it from calibration data and
@@ -21,17 +24,6 @@ type noise_model = {
   duration_2q : float;
 }
 
-let of_calibration ~twoq_error cal =
-  {
-    twoq_error;
-    oneq_error = Device.Calibration.oneq_error cal;
-    readout_error = Device.Calibration.readout_error cal;
-    t1 = Device.Calibration.t1 cal;
-    t2 = Device.Calibration.t2 cal;
-    duration_1q = Device.Calibration.duration_1q cal;
-    duration_2q = Device.Calibration.duration_2q cal;
-  }
-
 let ideal =
   {
     twoq_error = (fun _ _ -> 0.0);
@@ -43,84 +35,80 @@ let ideal =
     duration_2q = 0.0;
   }
 
-let apply_decoherence model rho q duration =
-  if Float.is_finite (model.t1 q) && duration > 0.0 then begin
-    let gamma, lambda =
-      Channel.damping_params ~t1:(model.t1 q) ~t2:(model.t2 q) ~duration
+(* Each operation is called only when its parameter is positive, so a
+   sampler draws no random number for a noiseless step. *)
+let execute ?schedule ~gate ~depolarize ~amplitude_damp ~phase_damp model circuit =
+  let decohere duration q =
+    if Float.is_finite (model.t1 q) && duration > 0.0 then begin
+      let gamma, lambda =
+        Channel.damping_params ~t1:(model.t1 q) ~t2:(model.t2 q) ~duration
+      in
+      if gamma > 0.0 then amplitude_damp q gamma;
+      if lambda > 0.0 then phase_damp q lambda
+    end
+  in
+  (* the gate and its depolarizing error; returns its qubits and duration *)
+  let step index instr =
+    gate instr;
+    let qs = Qcir.Instr.qubits instr in
+    let p, duration =
+      match Array.length qs with
+      | 1 -> (model.oneq_error qs.(0), model.duration_1q)
+      | 2 -> (model.twoq_error index instr, model.duration_2q)
+      | _ -> invalid_arg "Noisy.execute: gates beyond two qubits are not supported"
     in
-    if gamma > 0.0 then
-      Density.apply_channel rho (Channel.amplitude_damping gamma) [| q |];
-    if lambda > 0.0 then
-      Density.apply_channel rho (Channel.phase_damping lambda) [| q |]
-  end
+    if p > 0.0 then depolarize p qs;
+    (qs, duration)
+  in
+  match schedule with
+  | None ->
+    List.iteri
+      (fun index instr ->
+        let qs, duration = step index instr in
+        Array.iter (decohere duration) qs)
+      (Qcir.Circuit.instrs circuit)
+  | Some sched ->
+    let n = Qcir.Circuit.n_qubits circuit in
+    Schedule.iter_moments
+      (fun moment ->
+        List.iter (fun (index, instr) -> ignore (step index instr)) moment.Schedule.instrs;
+        for q = 0 to n - 1 do
+          decohere moment.Schedule.duration q
+        done)
+      sched
 
-let run model circuit =
+let density ?schedule model circuit =
   let rho = Density.create (Qcir.Circuit.n_qubits circuit) in
-  let index = ref 0 in
-  Qcir.Circuit.iter
-    (fun instr ->
-      Density.apply_instr rho instr;
-      let qs = Qcir.Instr.qubits instr in
-      (match Array.length qs with
-      | 1 ->
-        let p = model.oneq_error qs.(0) in
-        if p > 0.0 then Density.apply_channel rho (Channel.depolarizing_1q p) qs;
-        apply_decoherence model rho qs.(0) model.duration_1q
-      | 2 ->
-        let p = model.twoq_error !index instr in
-        if p > 0.0 then Density.apply_channel rho (Channel.depolarizing_2q p) qs;
-        Array.iter (fun q -> apply_decoherence model rho q model.duration_2q) qs
-      | _ -> invalid_arg "Noisy.run: gates beyond two qubits are not supported");
-      incr index)
-    circuit;
+  let channel ch qs = Density.apply_channel rho ch qs in
+  execute ?schedule model circuit ~gate:(Density.apply_instr rho)
+    ~depolarize:(fun p qs ->
+      channel
+        (if Array.length qs = 1 then Channel.depolarizing_1q p else Channel.depolarizing_2q p)
+        qs)
+    ~amplitude_damp:(fun q gamma -> channel (Channel.amplitude_damping gamma) [| q |])
+    ~phase_damp:(fun q lambda -> channel (Channel.phase_damping lambda) [| q |]);
   rho
 
-(* Schedule-aware execution over the shared timed executable
+let run model circuit = density model circuit
+
+(* The schedule-aware mode over the shared timed executable
    (Schedule.t): decoherence acts on EVERY qubit for each moment's
    duration — idle qubits decay too, as on real hardware.  [run] above
    is the cheaper acting-qubits-only approximation.  Without an explicit
-   schedule the model's two device-wide scalars time the moments (the
-   pre-refactor behaviour, bit for bit); the compiler passes its
-   calibrated per-gate-type schedule instead. *)
+   schedule the model's two device-wide scalars time the moments. *)
 let model_schedule model circuit =
-  Schedule.of_circuit circuit ~durations:(fun _ instr ->
-      match Qcir.Instr.arity instr with
-      | 1 -> model.duration_1q
-      | 2 -> model.duration_2q
-      | _ -> invalid_arg "Noisy.run_scheduled: gates beyond two qubits unsupported")
+  Schedule.of_circuit circuit
+    ~durations:
+      (Schedule.uniform ~duration_1q:model.duration_1q ~duration_2q:model.duration_2q)
 
 let run_scheduled ?schedule model circuit =
-  let sched =
+  let schedule =
     match schedule with Some s -> s | None -> model_schedule model circuit
   in
-  let n = Qcir.Circuit.n_qubits circuit in
-  let rho = Density.create n in
-  Schedule.iter_moments
-    (fun moment ->
-      List.iter
-        (fun (idx, instr) ->
-          Density.apply_instr rho instr;
-          let qs = Qcir.Instr.qubits instr in
-          match Array.length qs with
-          | 1 ->
-            let p = model.oneq_error qs.(0) in
-            if p > 0.0 then Density.apply_channel rho (Channel.depolarizing_1q p) qs
-          | 2 ->
-            let p = model.twoq_error idx instr in
-            if p > 0.0 then Density.apply_channel rho (Channel.depolarizing_2q p) qs
-          | _ -> invalid_arg "Noisy.run_scheduled: gates beyond two qubits unsupported")
-        moment.Schedule.instrs;
-      for q = 0 to n - 1 do
-        apply_decoherence model rho q moment.Schedule.duration
-      done)
-    sched;
-  rho
+  density ~schedule model circuit
 
-let output_probabilities ?(scheduled = false) ?schedule model circuit =
-  let rho =
-    if scheduled || Option.is_some schedule then run_scheduled ?schedule model circuit
-    else run model circuit
-  in
+let output_probabilities ?schedule model circuit =
+  let rho = density ?schedule model circuit in
   let n = Density.n_qubits rho in
   let probs = Density.probabilities rho in
   let error_rates = Array.init n model.readout_error in

@@ -1,5 +1,6 @@
-(** Noisy circuit execution on the exact density simulator (the paper's
-    Aer-style noise model: depolarizing + T1/T2 damping + readout). *)
+(** Noisy circuit execution: the paper's Aer-style noise policy
+    (depolarizing + T1/T2 damping + readout), applied by one engine to
+    the exact density simulator and to Monte Carlo trajectories. *)
 
 type noise_model = {
   twoq_error : int -> Qcir.Instr.t -> float;
@@ -11,13 +12,25 @@ type noise_model = {
   duration_2q : float;
 }
 
-val of_calibration :
-  twoq_error:(int -> Qcir.Instr.t -> float) -> Device.Calibration.t -> noise_model
-(** Build a model from device calibration; the per-instruction two-qubit
-    error function comes from the compiler (it knows which hardware gate
-    type each instruction uses). *)
-
 val ideal : noise_model
+
+val execute :
+  ?schedule:Schedule.t ->
+  gate:(Qcir.Instr.t -> unit) ->
+  depolarize:(float -> int array -> unit) ->
+  amplitude_damp:(int -> float -> unit) ->
+  phase_damp:(int -> float -> unit) ->
+  noise_model ->
+  Qcir.Circuit.t ->
+  unit
+(** The noise policy, walked once over the circuit: after each [gate],
+    [depolarize p qubits] at the gate's error rate, then
+    [amplitude_damp q gamma] and [phase_damp q lambda] from the qubit's
+    T1/T2.  Each operation is called only with a positive parameter.
+    Without [schedule] a gate's own qubits decohere for the gate's
+    duration; with one, every qubit decoheres for each moment's
+    duration after the moment's gates.  Raises [Invalid_argument] on
+    gates beyond two qubits. *)
 
 val run : noise_model -> Qcir.Circuit.t -> Density.t
 (** Acting-qubits-only decoherence (the cheap approximation). *)
@@ -33,6 +46,6 @@ val run_scheduled : ?schedule:Schedule.t -> noise_model -> Qcir.Circuit.t -> Den
     passes its calibrated per-gate-type schedule instead. *)
 
 val output_probabilities :
-  ?scheduled:bool -> ?schedule:Schedule.t -> noise_model -> Qcir.Circuit.t -> float array
-(** Final probabilities including classical readout error.  Passing
-    [schedule] implies [scheduled:true]. *)
+  ?schedule:Schedule.t -> noise_model -> Qcir.Circuit.t -> float array
+(** Final probabilities including classical readout error; schedule-aware
+    when [schedule] is given, as {!run} otherwise. *)

@@ -2,11 +2,12 @@
    the exact density simulator (the paper's 10- and 20-qubit
    Fermi-Hubbard runs, Fig 10f).
 
-   Depolarizing noise: with probability p insert a uniformly random
-   non-identity Pauli on the gate's qubits.  Amplitude and phase damping:
-   proper Kraus trajectories — branch on K0/K1 with the state-dependent
-   probabilities and renormalize.  Expectations over trajectories converge
-   to the density-operator result. *)
+   The noise policy is Noisy.execute's; this module supplies its
+   stochastic operations.  Depolarizing noise: with probability p insert
+   a uniformly random non-identity Pauli on the gate's qubits.  Amplitude
+   and phase damping: proper Kraus trajectories — branch on K0/K1 with
+   the state-dependent probabilities and renormalize.  Expectations over
+   trajectories converge to the density-operator result. *)
 
 open Linalg
 
@@ -81,64 +82,41 @@ let apply_phase_damping rng state q lambda =
   let p = (1.0 -. Float.sqrt (1.0 -. lambda)) /. 2.0 in
   if Rng.float rng < p then State.apply_pauli state 3 q
 
-let apply_decoherence rng (model : noise_model) state q duration =
-  if Float.is_finite (model.t1 q) && duration > 0.0 then begin
-    let gamma, lambda =
-      Channel.damping_params ~t1:(model.t1 q) ~t2:(model.t2 q) ~duration
-    in
-    if gamma > 0.0 then apply_amplitude_damping rng state q gamma;
-    if lambda > 0.0 then apply_phase_damping rng state q lambda
-  end
-
-let run_one rng (model : noise_model) circuit =
+let run_one rng model circuit =
   let state = State.create (Qcir.Circuit.n_qubits circuit) in
-  let index = ref 0 in
-  Qcir.Circuit.iter
-    (fun instr ->
-      State.apply_instr state instr;
-      let qs = Qcir.Instr.qubits instr in
-      (match Array.length qs with
-      | 1 ->
-        let p = model.oneq_error qs.(0) in
-        if p > 0.0 && Rng.float rng < p then apply_pauli rng state qs;
-        apply_decoherence rng model state qs.(0) model.duration_1q
-      | 2 ->
-        let p = model.twoq_error !index instr in
-        if p > 0.0 && Rng.float rng < p then apply_pauli rng state qs;
-        Array.iter (fun q -> apply_decoherence rng model state q model.duration_2q) qs
-      | _ -> invalid_arg "Trajectory.run_one: gates beyond two qubits unsupported");
-      incr index)
-    circuit;
+  Noisy.execute model circuit ~gate:(State.apply_instr state)
+    ~depolarize:(fun p qs -> if Rng.float rng < p then apply_pauli rng state qs)
+    ~amplitude_damp:(apply_amplitude_damping rng state)
+    ~phase_damp:(apply_phase_damping rng state);
   state
+
+(* [trajectories] seeded runs, each handed to [f] as it finishes. *)
+let iter_trajectories ~seed ~trajectories model circuit f =
+  assert (trajectories > 0);
+  let rng = Rng.create seed in
+  for _ = 1 to trajectories do
+    f (run_one rng model circuit)
+  done
 
 (* Mean linear cross-entropy overlap with an ideal state:
    E_traj[ sum_x p_traj(x) p_ideal(x) ]. *)
 let mean_ideal_overlap ?(seed = 5) ~trajectories model circuit ~ideal =
-  assert (trajectories > 0);
-  let rng = Rng.create seed in
   let dim = State.dim ideal in
   let acc = ref 0.0 in
-  for _ = 1 to trajectories do
-    let s = run_one rng model circuit in
-    let overlap = ref 0.0 in
-    for x = 0 to dim - 1 do
-      overlap := !overlap +. (State.probability s x *. State.probability ideal x)
-    done;
-    acc := !acc +. !overlap
-  done;
+  iter_trajectories ~seed ~trajectories model circuit (fun s ->
+      let overlap = ref 0.0 in
+      for x = 0 to dim - 1 do
+        overlap := !overlap +. (State.probability s x *. State.probability ideal x)
+      done;
+      acc := !acc +. !overlap);
   !acc /. float_of_int trajectories
 
 (* Mean output probabilities (converges to the density-simulator
    diagonal). *)
 let mean_probabilities ?(seed = 5) ~trajectories model circuit =
-  assert (trajectories > 0);
-  let rng = Rng.create seed in
-  let dim = 1 lsl Qcir.Circuit.n_qubits circuit in
-  let acc = Array.make dim 0.0 in
-  for _ = 1 to trajectories do
-    let s = run_one rng model circuit in
-    for x = 0 to dim - 1 do
-      acc.(x) <- acc.(x) +. State.probability s x
-    done
-  done;
+  let acc = Array.make (1 lsl Qcir.Circuit.n_qubits circuit) 0.0 in
+  iter_trajectories ~seed ~trajectories model circuit (fun s ->
+      for x = 0 to Array.length acc - 1 do
+        acc.(x) <- acc.(x) +. State.probability s x
+      done);
   Array.map (fun v -> v /. float_of_int trajectories) acc

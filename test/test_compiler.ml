@@ -412,7 +412,7 @@ let test_pass_time_is_wall_clock () =
 let test_pass_stack_requires_compact () =
   let device = Device.sycamore_line 4 in
   let no_compact =
-    [ Compiler.Pass.placement; Compiler.Pass.route (); Compiler.Pass.lower ]
+    [ Compiler.Pass.placement; Compiler.Pass.route; Compiler.Pass.lower ]
   in
   check_bool "raises without compact" true
     (try

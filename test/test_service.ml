@@ -298,6 +298,10 @@ let test_probes_are_bad_requests () =
         [ {|"qubits"|}; "<= 8"; "aspen8" ] );
       ({|{"op":"compile","app":"nope"}|}, [ {|"app"|}; "qv, qaoa, qft, fh" ]);
       ({|{"op":"compile","optimize":1}|}, [ {|"optimize"|}; "boolean" ]);
+      (* the Fermi-Hubbard generator's own Invalid_argument named no field *)
+      ( {|{"op":"compile","app":"fh","qubits":5}|},
+        [ {|field "qubits" must be even for app "fh" (got 5)|} ] );
+      ({|{"op":"score","app":"fh","qubits":7}|}, [ {|"qubits" must be even|} ]);
     ]
 
 (* the valid requests of the @ci serve smoke, plus a score and an

@@ -271,7 +271,8 @@ let test_scheduled_idle_decoherence () =
 let test_scheduled_noiseless_exact () =
   let rng = Rng.create 20 in
   let c = Apps.Qaoa.circuit rng 3 in
-  let probs = Sim.Noisy.output_probabilities ~scheduled:true Sim.Noisy.ideal c in
+  let schedule = Sim.Noisy.model_schedule Sim.Noisy.ideal c in
+  let probs = Sim.Noisy.output_probabilities ~schedule Sim.Noisy.ideal c in
   let expect = Sim.State.probabilities (Sim.State.run_circuit c) in
   Array.iteri (fun k p -> check_loose "prob" p probs.(k)) expect
 
@@ -400,6 +401,89 @@ let test_scheduled_explicit_schedule_matches_default () =
   in
   check_bool "identical" true (a = b)
 
+(* The pre-engine acting-qubits runner and trajectory sampler, copied
+   loop for loop: Noisy.execute must call the density and trajectory
+   operations exactly as they did — same order, same instruction index,
+   same guards — so density output is bit-identical and the trajectory
+   RNG stream is unchanged. *)
+let reference_decohere (model : Sim.Noisy.noise_model) ~amplitude ~phase q duration =
+  if Float.is_finite (model.Sim.Noisy.t1 q) && duration > 0.0 then begin
+    let gamma, lambda =
+      Sim.Channel.damping_params ~t1:(model.Sim.Noisy.t1 q) ~t2:(model.Sim.Noisy.t2 q)
+        ~duration
+    in
+    if gamma > 0.0 then amplitude q gamma;
+    if lambda > 0.0 then phase q lambda
+  end
+
+let reference_walk (model : Sim.Noisy.noise_model) ~gate ~depolarize ~amplitude ~phase
+    circuit =
+  let index = ref 0 in
+  Qcir.Circuit.iter
+    (fun instr ->
+      gate instr;
+      let qs = Qcir.Instr.qubits instr in
+      (match Array.length qs with
+      | 1 ->
+        let p = model.Sim.Noisy.oneq_error qs.(0) in
+        if p > 0.0 then depolarize p qs;
+        reference_decohere model ~amplitude ~phase qs.(0) model.Sim.Noisy.duration_1q
+      | 2 ->
+        let p = model.Sim.Noisy.twoq_error !index instr in
+        if p > 0.0 then depolarize p qs;
+        Array.iter
+          (fun q -> reference_decohere model ~amplitude ~phase q model.Sim.Noisy.duration_2q)
+          qs
+      | _ -> Alcotest.fail "reference: >2q gate");
+      incr index)
+    circuit
+
+let reference_run model circuit =
+  let rho = Sim.Density.create (Qcir.Circuit.n_qubits circuit) in
+  let channel ch q = Sim.Density.apply_channel rho ch [| q |] in
+  reference_walk model circuit ~gate:(Sim.Density.apply_instr rho)
+    ~depolarize:(fun p qs ->
+      Sim.Density.apply_channel rho
+        (if Array.length qs = 1 then Sim.Channel.depolarizing_1q p
+         else Sim.Channel.depolarizing_2q p)
+        qs)
+    ~amplitude:(fun q gamma -> channel (Sim.Channel.amplitude_damping gamma) q)
+    ~phase:(fun q lambda -> channel (Sim.Channel.phase_damping lambda) q);
+  rho
+
+let reference_run_one rng model circuit =
+  let state = Sim.State.create (Qcir.Circuit.n_qubits circuit) in
+  let apply_pauli qubits =
+    let k = Array.length qubits in
+    let pick = 1 + Rng.int rng ((1 lsl (2 * k)) - 1) in
+    for j = 0 to k - 1 do
+      let idx = (pick lsr (2 * j)) land 3 in
+      if idx <> 0 then Sim.State.apply_pauli state idx qubits.(j)
+    done
+  in
+  reference_walk model circuit ~gate:(Sim.State.apply_instr state)
+    ~depolarize:(fun p qs -> if Rng.float rng < p then apply_pauli qs)
+    ~amplitude:(fun q gamma -> Sim.Trajectory.apply_amplitude_damping rng state q gamma)
+    ~phase:(fun q lambda -> Sim.Trajectory.apply_phase_damping rng state q lambda);
+  state
+
+(* several random QV/QAOA circuits, 3-4 qubits *)
+let engine_circuits () =
+  List.concat_map
+    (fun seed ->
+      let rng = Rng.create seed in
+      [ Apps.Qv.circuit rng (3 + (seed mod 2)); Apps.Qaoa.circuit rng (3 + (seed mod 2)) ])
+    [ 51; 52; 53; 54 ]
+
+let test_run_bit_identical () =
+  let model = full_noise () in
+  List.iter
+    (fun c ->
+      let a = Sim.Density.probabilities (reference_run model c) in
+      let b = Sim.Density.probabilities (Sim.Noisy.run model c) in
+      check_bool "bit-identical" true (a = b))
+    (engine_circuits ())
+
 (* ---------- Trajectory ---------- *)
 
 let test_trajectory_noiseless_deterministic () =
@@ -419,6 +503,21 @@ let test_trajectory_mean_matches_density () =
   Array.iteri
     (fun k p -> check_bool "close" true (Float.abs (p -. mc.(k)) < 0.04))
     exact
+
+let test_run_one_bit_identical () =
+  (* several trajectories per circuit on one RNG: the stream must match
+     draw for draw *)
+  let model = full_noise () in
+  List.iteri
+    (fun k c ->
+      let ra = Rng.create (60 + k) and rb = Rng.create (60 + k) in
+      for _ = 1 to 8 do
+        let a = reference_run_one ra model c in
+        let b = Sim.Trajectory.run_one rb model c in
+        check_bool "re bit-identical" true (Sim.State.unsafe_re a = Sim.State.unsafe_re b);
+        check_bool "im bit-identical" true (Sim.State.unsafe_im a = Sim.State.unsafe_im b)
+      done)
+    (engine_circuits ())
 
 let test_trajectory_damping_specializations () =
   (* one-pass amplitude damping agrees with the generic Kraus branch in
@@ -521,10 +620,13 @@ let () =
             test_scheduled_bit_identical_fig9;
           Alcotest.test_case "explicit schedule = default" `Quick
             test_scheduled_explicit_schedule_matches_default;
+          Alcotest.test_case "run bit-identical (random)" `Quick test_run_bit_identical;
         ] );
       ( "trajectory",
         [
           Alcotest.test_case "noiseless" `Quick test_trajectory_noiseless_deterministic;
+          Alcotest.test_case "run_one bit-identical (random)" `Quick
+            test_run_one_bit_identical;
           Alcotest.test_case "matches density" `Slow test_trajectory_mean_matches_density;
           Alcotest.test_case "damping specializations" `Quick test_trajectory_damping_specializations;
           Alcotest.test_case "overlap bounds" `Quick test_trajectory_overlap_bounds;
