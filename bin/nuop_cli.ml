@@ -29,15 +29,22 @@
 
 open Cmdliner
 
+(* An angle inside a --target/--gate spec; anything but a finite number
+   is a CLI error naming the spec. *)
+let angle spec s =
+  match float_of_string_opt s with
+  | Some a when Float.is_finite a -> a
+  | _ -> invalid_arg (Printf.sprintf "%s: angle %S is not a finite number" spec s)
+
 let known_targets rng = function
   | "su4" -> Apps.Qv.random_unitary rng
   | "swap" -> Gates.Twoq.swap
   | "cz" -> Gates.Twoq.cz
   | "iswap" -> Gates.Twoq.iswap
   | s when String.length s > 3 && String.sub s 0 3 = "zz:" ->
-    Gates.Twoq.zz (float_of_string (String.sub s 3 (String.length s - 3)))
+    Gates.Twoq.zz (angle s (String.sub s 3 (String.length s - 3)))
   | s when String.length s > 7 && String.sub s 0 7 = "cphase:" ->
-    Gates.Twoq.cphase (float_of_string (String.sub s 7 (String.length s - 7)))
+    Gates.Twoq.cphase (angle s (String.sub s 7 (String.length s - 7)))
   | s -> invalid_arg (Printf.sprintf "unknown target %s" s)
 
 let known_gate_types = function
@@ -52,7 +59,8 @@ let known_gate_types = function
   | s when String.length s > 5 && String.sub s 0 5 = "fsim:" -> begin
     match String.split_on_char ',' (String.sub s 5 (String.length s - 5)) with
     | [ theta; phi ] ->
-      Gates.Gate_type.fsim_type (float_of_string theta) (float_of_string phi)
+      let theta = angle s theta in
+      Gates.Gate_type.fsim_type theta (angle s phi)
     | _ -> invalid_arg "expected fsim:<theta>,<phi>"
   end
   | s -> invalid_arg (Printf.sprintf "unknown gate type %s" s)
@@ -398,6 +406,10 @@ let calibration_cmd =
   let qubits = Arg.(value & opt int 54 & info [ "qubits"; "n" ] ~doc:"Device size.") in
   let types = Arg.(value & opt int 8 & info [ "types" ] ~doc:"Number of gate types.") in
   let run qubits types =
+    (* the model's grid needs a coupler and a gate type to price *)
+    if qubits < 2 then
+      invalid_arg (Printf.sprintf "--qubits must be at least 2 (got %d)" qubits);
+    if types < 1 then invalid_arg (Printf.sprintf "--types must be at least 1 (got %d)" types);
     let m = Calibration.Model.default in
     let pairs = Calibration.Model.grid_pairs qubits in
     Printf.printf "%d qubits (~%d couplers), %d gate types:\n" qubits pairs types;

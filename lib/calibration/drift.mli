@@ -28,8 +28,6 @@ type policy_point = {
 }
 
 val evaluate_policy :
-  ?model:Model.t ->
-  ?drift:params ->
   ?samples:int ->
   rng:Linalg.Rng.t ->
   n_types:int ->
@@ -38,21 +36,20 @@ val evaluate_policy :
   gates_per_program:int ->
   unit ->
   policy_point
-
-val default_periods : float list
+(** One (gate-type count, recalibration period) policy under the
+    {!Model.default} calibration cost and {!default} drift; [samples]
+    drift paths (default 64) average the error multiplier. *)
 
 val best_policies :
-  ?model:Model.t ->
-  ?drift:params ->
   ?samples:int ->
-  ?periods:float list ->
   rng:Linalg.Rng.t ->
   type_counts:int list ->
   base_error:float ->
   gates_per_program:int ->
   unit ->
   policy_point list
-(** Best recalibration period per gate-type count. *)
+(** Best recalibration period (of 4, 8, 16, 24, 48 and 96 hours) per
+    gate-type count, scored by {!evaluate_policy}. *)
 
 val degrade_calibration :
   Device.Calibration.t ->

@@ -55,8 +55,10 @@ let grid_pairs n_qubits =
 let time_hours_serial m ~n_pairs ~n_types =
   m.hours_per_type_per_pair *. float_of_int (n_pairs * n_types)
 
-let time_hours_parallel ?(batches = 4) m ~n_types =
-  m.hours_per_type_per_pair *. float_of_int (batches * n_types)
+let grid_batches = 4
+
+let time_hours_parallel m ~n_types =
+  m.hours_per_type_per_pair *. float_of_int (grid_batches * n_types)
 
 (* Coloring-aware parallel calibration: batches = proper edge-coloring
    classes of the coupler graph (edges in one class share no qubit). *)

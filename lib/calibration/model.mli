@@ -17,7 +17,9 @@ val grid_pairs : int -> int
 (** Coupler count of a near-square grid device with n qubits. *)
 
 val time_hours_serial : t -> n_pairs:int -> n_types:int -> float
-val time_hours_parallel : ?batches:int -> t -> n_types:int -> float
+val time_hours_parallel : t -> n_types:int -> float
+(** Parallel calibration time on a grid: 4 batches of non-interacting
+    pairs per gate type. *)
 
 val time_hours_parallel_on : t -> topology:Device.Topology.t -> n_types:int -> float
 (** Parallel calibration time with batch count from the real edge

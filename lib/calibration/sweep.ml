@@ -12,8 +12,8 @@ type row = {
 let default_device_sizes = [ 8; 54; 100; 500; 1000 ]
 let default_type_counts = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
 
-let run ?(model = Model.default) ?(device_sizes = default_device_sizes)
-    ?(type_counts = default_type_counts) () =
+let run ?(device_sizes = default_device_sizes) ?(type_counts = default_type_counts) () =
+  let model = Model.default in
   List.concat_map
     (fun n_qubits ->
       let n_pairs = Model.grid_pairs n_qubits in

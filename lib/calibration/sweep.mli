@@ -12,7 +12,8 @@ type row = {
 val default_device_sizes : int list
 val default_type_counts : int list
 
-val run :
-  ?model:Model.t -> ?device_sizes:int list -> ?type_counts:int list -> unit -> row list
+val run : ?device_sizes:int list -> ?type_counts:int list -> unit -> row list
+(** One row per device size and gate-type count under
+    {!Model.default}. *)
 
 val pp_row : Format.formatter -> row -> unit

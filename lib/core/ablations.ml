@@ -19,9 +19,7 @@ let ablation_adaptivity b cfg rng =
   let device = Device.aspen8 () in
   let circuits = qaoa_suite cfg rng 4 in
   let eval adaptive =
-    let options =
-      { Compiler.Pipeline.default_options with nuop = cfg.Config.nuop; adaptive }
-    in
+    let options = { (Config.compile_options cfg) with adaptive } in
     (Study.evaluate_suite ~options ~device ~isa:Isa.Set.r2 ~metric:Study.Xed circuits)
       .Study.mean_metric
   in
@@ -35,7 +33,7 @@ let ablation_placement b cfg rng =
   Report.Builder.subheading b "B. noise-aware vs first-found placement (Aspen-8, QV, S3)";
   let device = Device.aspen8 () in
   let circuits = Apps.Qv.circuits rng ~count:(max 4 (cfg.Config.qv_count / 2)) 3 in
-  let options = { Compiler.Pipeline.default_options with nuop = cfg.Config.nuop } in
+  let options = Config.compile_options cfg in
   let eval placement_of =
     let values =
       List.map
@@ -106,7 +104,7 @@ let ablation_cphase_family b cfg rng =
     "D. continuous CZ(phi) set (Lacroix et al.) vs Full_fSim vs G7 (Sycamore QAOA)";
   let device = Device.sycamore_line 6 in
   let circuits = qaoa_suite cfg rng 4 in
-  let options = { Compiler.Pipeline.default_options with nuop = cfg.Config.nuop } in
+  let options = Config.compile_options cfg in
   let rows =
     List.map
       (fun isa ->
@@ -124,9 +122,8 @@ let ablation_cphase_family b cfg rng =
      gate — competitive on QAOA while far cheaper than Full_fSim to\n\
      calibrate, exactly Lacroix et al.'s point)\n"
 
-let ablation_drift b cfg =
+let ablation_drift b =
   Report.Builder.subheading b "E. recalibration policy under drift (extension of Sec IX)";
-  ignore cfg;
   let rng = Rng.create 77 in
   let rows =
     List.map
@@ -155,7 +152,7 @@ let ablation_mitigation b cfg rng =
   Report.Builder.subheading b "F. readout-error mitigation (Sycamore QAOA, G2)";
   let device = Device.sycamore_line 5 in
   let circuits = qaoa_suite cfg rng 4 in
-  let options = { Compiler.Pipeline.default_options with nuop = cfg.Config.nuop } in
+  let options = Config.compile_options cfg in
   let eval mitigate =
     let values =
       List.map
@@ -192,7 +189,7 @@ let ablation_pass_stack b cfg rng =
     "H. pass stack: default vs 1Q-merge/elision peepholes (Aspen-8, QAOA, R2)";
   let device = Device.aspen8 () in
   let circuits = qaoa_suite cfg rng 4 in
-  let options = { Compiler.Pipeline.default_options with nuop = cfg.Config.nuop } in
+  let options = Config.compile_options cfg in
   let eval stack =
     Study.evaluate_suite ~options ~stack ~device ~isa:Isa.Set.r2 ~metric:Study.Xed
       circuits
@@ -238,7 +235,7 @@ let ablation_coloring b =
     "(the constant 4-batch assumption of Fig 11b matches the grid's true\n\
      edge-chromatic number)\n"
 
-let doc ?(cfg = Config.default) () =
+let doc cfg =
   let b = Report.Builder.create () in
   Report.Builder.heading b "Ablations: design decisions and extensions";
   let rng = Rng.create (cfg.Config.seed + 12) in
@@ -246,7 +243,7 @@ let doc ?(cfg = Config.default) () =
   ablation_placement b cfg rng;
   ablation_min_layers b cfg rng;
   ablation_cphase_family b cfg rng;
-  ablation_drift b cfg;
+  ablation_drift b;
   ablation_mitigation b cfg rng;
   ablation_pass_stack b cfg rng;
   ablation_coloring b;

@@ -67,18 +67,6 @@ let paper =
     nuop = Decompose.Nuop.default_options;
   }
 
-let default = quick
-
-let scale_between a b t =
-  (* linear interpolation helper for CLI --scale *)
-  let lerp x y = x + int_of_float (t *. float_of_int (y - x)) in
-  {
-    a with
-    qv_count = lerp a.qv_count b.qv_count;
-    qaoa_count = lerp a.qaoa_count b.qaoa_count;
-    fig6_unitaries = lerp a.fig6_unitaries b.fig6_unitaries;
-    fig8_grid = lerp a.fig8_grid b.fig8_grid;
-    fig8_qv = lerp a.fig8_qv b.fig8_qv;
-    fig8_qaoa = lerp a.fig8_qaoa b.fig8_qaoa;
-    trajectories = lerp a.trajectories b.trajectories;
-  }
+(* The compiler options every experiment compiles with: the pipeline
+   defaults with this scale's NuOp settings. *)
+let compile_options cfg = { Compiler.Pipeline.default_options with nuop = cfg.nuop }

@@ -1,5 +1,5 @@
-(** Experiment scale configuration ([quick] default; [paper] restores the
-    published sample counts). *)
+(** Experiment scale configuration: [quick] for smoke runs, [paper] for
+    the published sample counts. *)
 
 type t = {
   seed : int;
@@ -23,5 +23,7 @@ type t = {
 
 val quick : t
 val paper : t
-val default : t
-val scale_between : t -> t -> float -> t
+
+val compile_options : t -> Compiler.Pipeline.options
+(** {!Compiler.Pipeline.default_options} with this scale's [nuop]
+    settings. *)

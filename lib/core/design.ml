@@ -30,7 +30,7 @@ let best_mid frontier =
         | _ -> Some p)
     None frontier
 
-let doc ?(cfg = Config.default) () =
+let doc cfg =
   let b = Report.Builder.create () in
   Report.Builder.heading b
     "Design: searched instruction sets on the expressivity/calibration frontier";

@@ -2,5 +2,5 @@
     candidate pool, reported as the expressivity-vs-calibration Pareto
     frontier next to the Table II baselines. *)
 
-val doc : ?cfg:Config.t -> unit -> Report.doc
+val doc : Config.t -> Report.doc
 (** Costs every point on a 54-qubit grid. *)

@@ -22,7 +22,7 @@ let mean_stored_twoq_error device =
    unitaries for the expressivity column to be comparable *)
 let score_counts = Apps.Su4_unitaries.[ (Qv, 3); (Qaoa, 3); (Swap, 1) ]
 
-let doc ?(cfg = Config.default) () =
+let doc cfg =
   let b = Report.Builder.create () in
   Report.Builder.heading b "Drift: compiling against aged calibration snapshots";
   let rng = Rng.create (cfg.Config.seed + 13) in
@@ -46,7 +46,7 @@ let doc ?(cfg = Config.default) () =
   let samples =
     Isa.Score.samples ~counts:score_counts (Rng.create (cfg.Config.seed + 15))
   in
-  let options = { Compiler.Pipeline.default_options with nuop = cfg.Config.nuop } in
+  let options = Config.compile_options cfg in
   Report.Builder.textf b
     "device: %s; workload: %d 4-qubit QAOA circuits; set: %s\n"
     (Device.name fresh) (List.length circuits) (Isa.Set.name isa);

@@ -2,7 +2,7 @@
    Rendered as a textual map from each block to the module implementing
    it, so the harness covers every figure. *)
 
-let doc ?cfg:(_ = Config.default) () =
+let doc (_ : Config.t) =
   let b = Report.Builder.create () in
   Report.Builder.heading b "Fig 1: simulation framework (block -> module map)";
   Report.Builder.table b

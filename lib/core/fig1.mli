@@ -1,4 +1,4 @@
 (** Fig 1: framework block -> module map. *)
 
-val doc : ?cfg:Config.t -> unit -> Report.doc
+val doc : Config.t -> Report.doc
 (** Build the experiment's report document (runs the experiment). *)

@@ -10,32 +10,10 @@ open Linalg
 
 let isas = Isa.Set.(google_singles @ google_multis @ [ full_fsim ])
 
-let make_qft_circuits cfg n =
-  List.init cfg.Config.qft_inputs (fun k ->
-      let input = ((2 * k) + 1) land ((1 lsl n) - 1) in
-      let c = ref (Qcir.Circuit.empty n) in
-      for q = 0 to n - 1 do
-        if (input lsr q) land 1 = 1 then c := Qcir.Circuit.add_gate !c Gates.Gate.x [| q |]
-      done;
-      Qcir.Circuit.append !c (Apps.Qft.circuit n))
-
-let stack = Compiler.Pass.default_stack
-
-let run_suite b cfg device ~label ~metric circuits ~sets =
-  Report.Builder.subheading b label;
-  let options = { Compiler.Pipeline.default_options with nuop = cfg.Config.nuop } in
-  let results =
-    List.map
-      (fun isa -> Study.evaluate_suite ~options ~stack ~device ~isa ~metric circuits)
-      sets
-  in
-  Study.add_results b ~metric results;
-  results
-
 (* Full_fSim with its average error rates degraded 1.5x/2x/2.5x — the
    calibration-difficulty sensitivity study on panels a-c. *)
 let full_fsim_degraded cfg base_seed ~metric circuits scales =
-  let options = { Compiler.Pipeline.default_options with nuop = cfg.Config.nuop } in
+  let options = Config.compile_options cfg in
   List.map
     (fun scale ->
       let device = Device.sycamore_line ~seed:base_seed 6 in
@@ -65,7 +43,7 @@ let print_degraded b label rows =
 let panel_f b cfg =
   Report.Builder.subheading b
     "(f) Fermi-Hubbard at 10/20 qubits vs hardware error rate (trajectories)";
-  let options = { Compiler.Pipeline.default_options with nuop = cfg.Config.nuop } in
+  let options = Config.compile_options cfg in
   let sets = Isa.Set.[ s2; g7 ] in
   let sweep =
     let n = cfg.Config.fig10f_points in
@@ -139,50 +117,48 @@ let panel_f b cfg =
         rows)
     cfg.Config.fh_sizes
 
-let doc ?(cfg = Config.default) () =
+let doc cfg =
   let b = Report.Builder.create () in
   Report.Builder.heading b "Fig 10: Sycamore — reliability across instruction sets";
   let rng = Rng.create (cfg.Config.seed + 10) in
   let device = Device.sycamore_line 6 in
   let qv = Apps.Qv.circuits rng ~count:cfg.Config.qv_count 4 in
-  let best results =
-    List.fold_left (fun acc r -> Float.max acc r.Study.mean_metric) neg_infinity results
-  in
   let qv_results =
-    run_suite b cfg device
+    Study.add_suite b cfg device
       ~label:(Printf.sprintf "(a) %d 4-qubit QV circuits — HOP" (List.length qv))
-      ~metric:Study.Hop qv ~sets:isas
+      ~metric:Study.Hop ~sets:isas qv
   in
-  Report.Builder.metric b "qv_hop_best" (best qv_results);
+  Report.Builder.metric b "qv_hop_best" (Study.best_metric qv_results);
   print_degraded b "(a)"
     (full_fsim_degraded cfg 23 ~metric:Study.Hop qv [ 1.5; 2.0; 2.5 ]);
   let qaoa = Apps.Qaoa.circuits rng ~count:cfg.Config.qaoa_count 4 in
   let qaoa_results =
-    run_suite b cfg device
+    Study.add_suite b cfg device
       ~label:(Printf.sprintf "(b) %d 4-qubit QAOA circuits — XED" (List.length qaoa))
-      ~metric:Study.Xed qaoa ~sets:isas
+      ~metric:Study.Xed ~sets:isas qaoa
   in
-  Report.Builder.metric b "qaoa_xed_best" (best qaoa_results);
+  Report.Builder.metric b "qaoa_xed_best" (Study.best_metric qaoa_results);
   print_degraded b "(b)"
     (full_fsim_degraded cfg 23 ~metric:Study.Xed qaoa [ 1.5; 2.0; 2.5 ]);
-  let qft = make_qft_circuits cfg 4 in
+  let qft = Study.qft_basis_circuits ~count:cfg.Config.qft_inputs 4 in
   let _ =
-    run_suite b cfg device
+    Study.add_suite b cfg device
       ~label:
         (Printf.sprintf "(c) 4-qubit QFT (%d basis inputs) — success" (List.length qft))
-      ~metric:Study.State_fidelity qft ~sets:isas
+      ~metric:Study.State_fidelity ~sets:isas qft
   in
   let fh = [ Apps.Fermi_hubbard.circuit 6 ] in
   let _ =
-    run_suite b cfg device ~label:"(d) 6-qubit Fermi-Hubbard Trotter step — XEB fidelity"
-      ~metric:Study.Xeb_fidelity fh ~sets:isas
+    Study.add_suite b cfg device
+      ~label:"(d) 6-qubit Fermi-Hubbard Trotter step — XEB fidelity"
+      ~metric:Study.Xeb_fidelity ~sets:isas fh
   in
   (* (e): same QAOA suite with no cross-type noise variation *)
   let device_novary = Device.sycamore_line ~vary:false 6 in
   let _ =
-    run_suite b cfg device_novary
+    Study.add_suite b cfg device_novary
       ~label:"(e) QAOA XED with NO noise variation across gate types"
-      ~metric:Study.Xed qaoa ~sets:isas
+      ~metric:Study.Xed ~sets:isas qaoa
   in
   panel_f b cfg;
   Report.Builder.textf b

@@ -43,7 +43,7 @@ let panel_b b cfg =
   let rng = Rng.create (cfg.Config.seed + 11) in
   let qaoa = Apps.Qaoa.circuits rng ~count:(max 4 (cfg.Config.qaoa_count / 2)) 4 in
   let device = Device.sycamore_line 6 in
-  let options = { Compiler.Pipeline.default_options with nuop = cfg.Config.nuop } in
+  let options = Config.compile_options cfg in
   (* topology-aware cost: a 54-qubit near-square grid; its greedy edge
      coloring yields the model's 4 parallel batches *)
   let topology = Isa.Cost.grid_topology 54 in
@@ -79,7 +79,7 @@ let panel_b b cfg =
     Calibration.Model.continuous_family_types
     (Calibration.Model.continuous_overhead_factor ~n_types:8)
 
-let doc ?(cfg = Config.default) () =
+let doc cfg =
   let b = Report.Builder.create () in
   Report.Builder.heading b "Fig 11: calibration overhead vs application performance";
   panel_a b;

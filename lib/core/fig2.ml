@@ -17,7 +17,7 @@ let show b ~label ~target gate_type cfg =
   let circuit = Decompose.Nuop.to_circuit d ~n_qubits:2 ~qubits:(0, 1) in
   Report.Builder.text b (Qcir.Printer.render circuit)
 
-let doc ?(cfg = Config.default) () =
+let doc cfg =
   let b = Report.Builder.create () in
   Report.Builder.heading b "Fig 2: decomposition examples with NuOp";
   let rng = Rng.create cfg.Config.seed in

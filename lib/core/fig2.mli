@@ -1,4 +1,4 @@
 (** Fig 2: example NuOp decompositions (QV and QAOA unitaries). *)
 
-val doc : ?cfg:Config.t -> unit -> Report.doc
+val doc : Config.t -> Report.doc
 (** Build the experiment's report document (runs the experiment). *)

@@ -1,7 +1,7 @@
 (* Fig 3: the first Aspen-8 ring with per-edge XY(pi)/CZ fidelities (the
    best gate type varies across qubit pairs). *)
 
-let doc ?cfg:(_ = Config.default) () =
+let doc (_ : Config.t) =
   let b = Report.Builder.create () in
   Report.Builder.heading b "Fig 3: Aspen-8 first ring, measured gate fidelities";
   let rows =

@@ -3,7 +3,7 @@
 
 open Linalg
 
-let doc ?(cfg = Config.default) () =
+let doc cfg =
   let b = Report.Builder.create () in
   Report.Builder.heading b "Fig 4: the NuOp template circuit";
   Report.Builder.textf b

@@ -1,4 +1,4 @@
 (** Fig 4: the NuOp template circuit, rendered concretely. *)
 
-val doc : ?cfg:Config.t -> unit -> Report.doc
+val doc : Config.t -> Report.doc
 (** Build the experiment's report document (runs the experiment). *)

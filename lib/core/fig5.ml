@@ -7,7 +7,7 @@
 
 open Linalg
 
-let doc ?(cfg = Config.default) () =
+let doc cfg =
   let b = Report.Builder.create () in
   Report.Builder.heading b "Fig 5: noise-adaptive approximate decomposition";
   (* The paper's walkthrough numbers: on (2,3) CZ is the high-fidelity
@@ -20,9 +20,7 @@ let doc ?(cfg = Config.default) () =
   Device.Calibration.set_twoq_error cal (3, 4) Gates.Gate_type.s2 0.05;
   (* pick an illustrative unitary for which the adaptive choice actually
      differs across the two edges, like the paper's Fig 2a example *)
-  let options =
-    { Compiler.Pipeline.default_options with nuop = cfg.Config.nuop }
-  in
+  let options = Config.compile_options cfg in
   let choice edge u =
     (Compiler.Pipeline.decompose_on_edge ~options ~cal ~isa ~edge ~target:u)
       .Decompose.Nuop.gate_type
@@ -37,9 +35,6 @@ let doc ?(cfg = Config.default) () =
     else find_example rng (tries - 1)
   in
   let u = find_example (Rng.create (cfg.Config.seed + 4)) 40 in
-  let options =
-    { Compiler.Pipeline.default_options with nuop = cfg.Config.nuop }
-  in
   let describe edge =
     let d =
       Compiler.Pipeline.decompose_on_edge ~options ~cal ~isa ~edge ~target:u

@@ -1,4 +1,4 @@
 (** Fig 5: noise-adaptive approximate decomposition walkthrough. *)
 
-val doc : ?cfg:Config.t -> unit -> Report.doc
+val doc : Config.t -> Report.doc
 (** Build the experiment's report document (runs the experiment). *)

@@ -53,7 +53,7 @@ let evaluate cfg mode gate_type unitaries =
       let sum_e = List.fold_left (fun acc (_, e) -> acc +. e) 0.0 results in
       Some (sum_c /. n, sum_e /. n))
 
-let doc ?(cfg = Config.default) () =
+let doc cfg =
   let b = Report.Builder.create () in
   Report.Builder.heading b
     "Fig 6: NuOp vs Cirq — hardware gate counts per application unitary";

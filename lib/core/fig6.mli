@@ -1,4 +1,4 @@
 (** Fig 6: NuOp vs Cirq-equivalent baseline gate counts. *)
 
-val doc : ?cfg:Config.t -> unit -> Report.doc
+val doc : Config.t -> Report.doc
 (** Build the experiment's report document (runs the experiment). *)

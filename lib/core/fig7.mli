@@ -1,4 +1,4 @@
 (** Fig 7: exact vs approximate decomposition vs error rate. *)
 
-val doc : ?cfg:Config.t -> unit -> Report.doc
+val doc : Config.t -> Report.doc
 (** Build the experiment's report document (runs the experiment). *)

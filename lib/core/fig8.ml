@@ -48,7 +48,7 @@ let application_sets cfg rng =
     ("SWAP", Apps.Su4_unitaries.swap_set ());
   ]
 
-let doc ?(cfg = Config.default) () =
+let doc cfg =
   let b = Report.Builder.create () in
   Report.Builder.heading b "Fig 8: average gate counts over the fSim(theta, phi) space";
   let rng = Rng.create (cfg.Config.seed + 8) in

@@ -14,82 +14,82 @@ let all =
     {
       name = "table1";
       description = "gate families and fidelity models";
-      run = (fun cfg -> Table1.doc ~cfg ());
+      run = Table1.doc;
     };
     {
       name = "table2";
       description = "instruction sets studied";
-      run = (fun cfg -> Table2.doc ~cfg ());
+      run = Table2.doc;
     };
     {
       name = "fig1";
       description = "framework block -> module map";
-      run = (fun cfg -> Fig1.doc ~cfg ());
+      run = Fig1.doc;
     };
     {
       name = "fig2";
       description = "example NuOp decompositions";
-      run = (fun cfg -> Fig2.doc ~cfg ());
+      run = Fig2.doc;
     };
     {
       name = "fig3";
       description = "Aspen-8 calibration table";
-      run = (fun cfg -> Fig3.doc ~cfg ());
+      run = Fig3.doc;
     };
     {
       name = "fig4";
       description = "the NuOp template circuit";
-      run = (fun cfg -> Fig4.doc ~cfg ());
+      run = Fig4.doc;
     };
     {
       name = "fig5";
       description = "noise-adaptive decomposition walkthrough";
-      run = (fun cfg -> Fig5.doc ~cfg ());
+      run = Fig5.doc;
     };
     {
       name = "fig6";
       description = "NuOp vs Cirq gate counts";
-      run = (fun cfg -> Fig6.doc ~cfg ());
+      run = Fig6.doc;
     };
     {
       name = "fig7";
       description = "exact vs approximate decomposition";
-      run = (fun cfg -> Fig7.doc ~cfg ());
+      run = Fig7.doc;
     };
     {
       name = "fig8";
       description = "fSim expressivity heatmaps";
-      run = (fun cfg -> Fig8.doc ~cfg ());
+      run = Fig8.doc;
     };
     {
       name = "fig9";
       description = "Aspen-8 instruction-set study";
-      run = (fun cfg -> Fig9.doc ~cfg ());
+      run = Fig9.doc;
     };
     {
       name = "fig10";
       description = "Sycamore instruction-set study";
-      run = (fun cfg -> Fig10.doc ~cfg ());
+      run = Fig10.doc;
     };
     {
       name = "fig11";
       description = "calibration overhead model";
-      run = (fun cfg -> Fig11.doc ~cfg ());
+      run = Fig11.doc;
     };
     {
       name = "ablations";
       description = "design-decision & extension ablations";
-      run = (fun cfg -> Ablations.doc ~cfg ());
+      run = Ablations.doc;
     };
     {
       name = "design";
       description = "searched instruction sets (Pareto frontier)";
-      run = (fun cfg -> Design.doc ~cfg ());
+      run = Design.doc;
     };
     {
       name = "drift";
       description = "fresh vs drifted vs recalibrated snapshots";
-      run = (fun cfg -> Drift_study.doc ~cfg ());
+      run = Drift_study.doc;
     };
   ]
 

@@ -38,7 +38,6 @@ let esp ~device (compiled : Compiler.Pipeline.compiled) =
   let dev q = compiled.Compiler.Pipeline.qubit_map.(q) in
   (Metrics.Esp.estimate ~twoq_errors:compiled.Compiler.Pipeline.twoq_errors
      ~oneq_error:(fun q -> Device.Calibration.oneq_error cal (dev q))
-     ~readout_error:(fun q -> Device.Calibration.readout_error cal (dev q))
      ~t1:(fun q -> Device.Calibration.t1 cal (dev q))
      ~t2:(fun q -> Device.Calibration.t2 cal (dev q))
      compiled.Compiler.Pipeline.schedule)
@@ -136,6 +135,31 @@ let results_table ~metric results =
 
 let add_results b ~metric results =
   Report.Builder.table b ~header:(results_header ~metric) (List.map result_row results)
+
+(* One panel of the Fig 9/10 studies: every instruction set in [sets]
+   on the same circuits, as a results table under [label]. *)
+let add_suite b cfg device ~label ~metric ~sets circuits =
+  Report.Builder.subheading b label;
+  let options = Config.compile_options cfg in
+  let results =
+    List.map (fun isa -> evaluate_suite ~options ~device ~isa ~metric circuits) sets
+  in
+  add_results b ~metric results;
+  results
+
+let best_metric results =
+  List.fold_left (fun acc r -> Float.max acc r.mean_metric) neg_infinity results
+
+(* The k-th circuit prepends X gates preparing the basis input
+   (2k+1) mod 2^n to the n-qubit QFT. *)
+let qft_basis_circuits ~count n =
+  List.init count (fun k ->
+      let input = ((2 * k) + 1) land ((1 lsl n) - 1) in
+      let c = ref (Qcir.Circuit.empty n) in
+      for q = 0 to n - 1 do
+        if (input lsr q) land 1 = 1 then c := Qcir.Circuit.add_gate !c Gates.Gate.x [| q |]
+      done;
+      Qcir.Circuit.append !c (Apps.Qft.circuit n))
 
 let add_pass_metrics b metrics =
   Report.Builder.table b ~header:Compiler.Pass_manager.header

@@ -59,5 +59,25 @@ val results_table : metric:metric -> result list -> Report.block
 
 val add_results : Report.Builder.t -> metric:metric -> result list -> unit
 
+val add_suite :
+  Report.Builder.t ->
+  Config.t ->
+  Device.t ->
+  label:string ->
+  metric:metric ->
+  sets:Isa.Set.t list ->
+  Qcir.Circuit.t list ->
+  result list
+(** One study panel: a subheading [label], then {!evaluate_suite} for
+    each set in [sets] (compiled with {!Config.compile_options}) as a
+    {!add_results} table.  Returns the results in [sets] order. *)
+
+val best_metric : result list -> float
+(** The largest [mean_metric]. *)
+
+val qft_basis_circuits : count:int -> int -> Qcir.Circuit.t list
+(** [count] n-qubit QFT circuits; the k-th starts from the basis state
+    [(2k+1) mod 2^n], prepared with X gates. *)
+
 val add_pass_metrics :
   Report.Builder.t -> Compiler.Pass_manager.pass_metrics list -> unit

@@ -5,7 +5,7 @@ open Linalg
 let add_unitary b name m =
   Report.Builder.textf b "\n%s =\n%s\n" name (Mat.to_string m)
 
-let doc ?cfg:(_ = Config.default) () =
+let doc (_ : Config.t) =
   let b = Report.Builder.create () in
   Report.Builder.heading b "Table I: current and anticipated two-qubit gate types";
   add_unitary b "CZ = fSim(0, pi)" Gates.Twoq.cz;

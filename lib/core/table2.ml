@@ -1,6 +1,6 @@
 (* Table II: the instruction sets studied. *)
 
-let doc ?cfg:(_ = Config.default) () =
+let doc (_ : Config.t) =
   let b = Report.Builder.create () in
   Report.Builder.heading b "Table II: instruction sets studied";
   let row isa =

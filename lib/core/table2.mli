@@ -1,4 +1,4 @@
 (** Table II: the instruction sets studied. *)
 
-val doc : ?cfg:Config.t -> unit -> Report.doc
+val doc : Config.t -> Report.doc
 (** Build the experiment's report document (runs the experiment). *)

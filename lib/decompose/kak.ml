@@ -31,7 +31,9 @@ let reconstruct d =
 let u3_of params base =
   Gates.Oneq.u3 params.(base) params.(base + 1) params.(base + 2)
 
-let decompose ?(attempts = 6) u =
+let attempts = 6
+
+let decompose u =
   if Mat.rows u <> 4 || Mat.cols u <> 4 then invalid_arg "Kak.decompose: need 4x4";
   let c1, c2, c3 = Weyl.coordinates u in
   let core = Weyl.canonical_gate c1 c2 c3 in

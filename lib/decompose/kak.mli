@@ -14,9 +14,10 @@ type t = {
   global_phase : float;
 }
 
-val decompose : ?attempts:int -> Mat.t -> t
+val decompose : Mat.t -> t
 (** Verified factorization (the result reconstructs the input up to
-    phase within 1e-6); raises [Failed] if verification fails and
+    phase within 1e-6), from the best of up to 6 seeded BFGS starts;
+    raises [Failed] if verification fails and
     [Invalid_argument] on non-4x4 input. *)
 
 val reconstruct : t -> Mat.t

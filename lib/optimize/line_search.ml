@@ -6,14 +6,14 @@
 
 type result = { step : float; f_new : float; evals : int }
 
-let default_c1 = 1e-4
-let default_shrink = 0.5
-let default_max_trials = 40
+let c1 = 1e-4
+let shrink = 0.5
+let max_trials = 40
 
 (* [search f x d ~f0 ~slope] finds t with
-   f(x + t d) <= f0 + c1 * t * slope, where slope = grad . d < 0. *)
-let search ?(c1 = default_c1) ?(shrink = default_shrink)
-    ?(max_trials = default_max_trials) ?(t0 = 1.0) f x d ~f0 ~slope =
+   f(x + t d) <= f0 + c1 * t * slope, where slope = grad . d < 0,
+   starting from the full step t = 1. *)
+let search f x d ~f0 ~slope =
   let n = Array.length x in
   assert (Array.length d = n);
   let trial = Array.make n 0.0 in
@@ -46,4 +46,4 @@ let search ?(c1 = default_c1) ?(shrink = default_shrink)
       end
     end
   in
-  loop t0 0 0 { step = 0.0; f_new = f0; evals = 0 }
+  loop 1.0 0 0 { step = 0.0; f_new = f0; evals = 0 }

@@ -6,15 +6,7 @@ type result = {
   evals : int;  (** number of objective evaluations used *)
 }
 
-val default_c1 : float
-val default_shrink : float
-val default_max_trials : int
-
 val search :
-  ?c1:float ->
-  ?shrink:float ->
-  ?max_trials:int ->
-  ?t0:float ->
   (float array -> float) ->
   float array ->
   float array ->
@@ -22,6 +14,8 @@ val search :
   slope:float ->
   result
 (** [search f x d ~f0 ~slope] finds a step [t] along direction [d] from
-    [x] satisfying the Armijo condition
-    [f(x + t d) <= f0 + c1 t slope].  [slope] must be the directional
-    derivative [grad f(x) . d] (negative for a descent direction). *)
+    [x] satisfying the Armijo condition [f(x + t d) <= f0 + c1 t slope]
+    with [c1 = 1e-4]: it backtracks from [t = 1], shrinking by at least
+    half per trial, for at most 40 trials.  [slope] must be the
+    directional derivative [grad f(x) . d] (negative for a descent
+    direction). *)

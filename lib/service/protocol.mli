@@ -24,7 +24,7 @@ type error_kind =
   | Overloaded  (** bounded queue full — explicit backpressure *)
   | Timeout  (** [deadline_ms] elapsed before completion *)
   | Draining  (** server is shutting down and accepts no new work *)
-  | Internal  (** execution failed; retries (if any) exhausted *)
+  | Internal  (** execution failed *)
 
 val kind_name : error_kind -> string
 
@@ -32,10 +32,6 @@ type err = { kind : error_kind; message : string }
 
 val err : error_kind -> ('a, unit, string, err) format4 -> 'a
 (** [err kind fmt ...] builds an {!err} with a formatted message. *)
-
-exception Transient of string
-(** Raised by an op implementation to mark a failure worth a bounded
-    retry with backoff (the only exception the server retries). *)
 
 type request = {
   id : Njson.t;  (** echoed verbatim; [Null] when the field is absent *)

@@ -657,7 +657,6 @@ let schedule_group =
         let esp =
           (Metrics.Esp.estimate ~twoq_errors
              ~oneq_error:(fun _ -> oneq)
-             ~readout_error:(fun _ -> 0.0)
              ~t1:(fun _ -> t1)
              ~t2:(fun _ -> t2)
              schedule)
@@ -1070,9 +1069,9 @@ let obs_group =
 (* Submit a batch of raw request lines to a fresh server and return the
    sorted response multiset.  [drain] is the synchronization point: it
    returns only after every accepted job has replied. *)
-let serve_batch ?exec ~workers lines =
+let serve_batch ~workers lines =
   let t =
-    Service.Server.create ?exec
+    Service.Server.create
       {
         Service.Server.default_config with
         Service.Server.workers;
@@ -1176,10 +1175,10 @@ let service_group =
           Ok (Njson.Bool true)
         in
         let t =
-          Service.Server.create ~exec
+          Service.Server.create
             {
-              Service.Server.default_config with
-              Service.Server.workers = 1;
+              Service.Server.exec;
+              workers = 1;
               queue_depth = q;
             }
         in
@@ -1252,10 +1251,10 @@ let service_group =
           Ok (Njson.Bool true)
         in
         let t =
-          Service.Server.create ~exec
+          Service.Server.create
             {
-              Service.Server.default_config with
-              Service.Server.workers = 1;
+              Service.Server.exec;
+              workers = 1;
               queue_depth = 8;
             }
         in

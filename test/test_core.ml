@@ -104,12 +104,24 @@ let read_file path =
   close_in ic;
   s
 
-let test_fig11_golden () =
-  (* the text renderer must reproduce the pre-document printed output
-     byte for byte (fig11 is deterministic: no wall-clock in its body) *)
-  let doc = Core.Fig11.doc ~cfg:Core.Config.quick () in
-  let expected = read_file "golden/fig11_quick.txt" in
-  Alcotest.(check string) "byte-identical" expected (Core.Report.render_text doc)
+(* Quick-scale text of experiments whose bodies print no wall time,
+   each pinned byte for byte to test/golden/NAME_quick.txt: fig11 locks
+   the text renderer to the pre-document printed output, the others the
+   experiments themselves. *)
+let golden_experiments =
+  [
+    ("fig11", Core.Fig11.doc);
+    ("fig5", Core.Fig5.doc);
+    ("fig7", Core.Fig7.doc);
+    ("fig9", Core.Fig9.doc);
+    ("drift", Core.Drift_study.doc);
+  ]
+
+let test_golden (name, doc) () =
+  let expected = read_file (Printf.sprintf "golden/%s_quick.txt" name) in
+  Alcotest.(check string)
+    "byte-identical" expected
+    (Core.Report.render_text (doc Core.Config.quick))
 
 let test_json_roundtrip () =
   (* render -> parse -> re-render must be a fixed point, and the parsed
@@ -283,12 +295,15 @@ let () =
           Alcotest.test_case "heat digit" `Quick test_report_heat_digit;
         ] );
       ( "document",
-        [
-          Alcotest.test_case "fig11 golden text" `Slow test_fig11_golden;
-          Alcotest.test_case "json roundtrip" `Slow test_json_roundtrip;
-          Alcotest.test_case "json escapes" `Quick test_json_escapes;
-          Alcotest.test_case "registry complete" `Quick test_registry_complete;
-        ] );
+        List.map
+          (fun ((name, _) as e) ->
+            Alcotest.test_case (name ^ " golden text") `Slow (test_golden e))
+          golden_experiments
+        @ [
+            Alcotest.test_case "json roundtrip" `Slow test_json_roundtrip;
+            Alcotest.test_case "json escapes" `Quick test_json_escapes;
+            Alcotest.test_case "registry complete" `Quick test_registry_complete;
+          ] );
       ( "artifact",
         [
           Alcotest.test_case "names every run" `Quick test_artifact_names_every_run;

@@ -1,6 +1,6 @@
 (* The resident compilation service (lib/service): protocol parsing and
    rendering, the bounded queue, monotonic deadlines, the server engine
-   (injected executors: retries, drain refusals), the compile/score
+   (injected executors: exception mapping, drain refusals), the compile/score
    parameter tables (bounds, unknown fields, the README table), and the
    satellite fixes that ride with it — Njson.of_string_result line/column errors,
    case-insensitive experiment lookup, fresh_path clobber avoidance. *)
@@ -167,13 +167,13 @@ let test_deadline () =
 
 (* ---------- server engine (injected executors) ---------- *)
 
-let batch ?exec ~workers lines =
+let batch ?(exec = Service.Server.default_config.exec) ~workers lines =
   let t =
-    Service.Server.create ?exec
+    Service.Server.create
       {
-        Service.Server.default_config with
         Service.Server.workers;
         queue_depth = max 8 (List.length lines);
+        exec;
       }
   in
   let lock = Mutex.create () in
@@ -199,22 +199,8 @@ let test_server_end_to_end () =
   check_bool "ping pongs" true
     (List.mem "{\"id\":1,\"ok\":true,\"result\":{\"pong\":true}}" replies)
 
-let test_server_retries_transient () =
-  let failures = Atomic.make 1 in
-  let calls = Atomic.make 0 in
-  let exec _req =
-    Atomic.incr calls;
-    if Atomic.fetch_and_add failures (-1) > 0 then
-      raise (Service.Protocol.Transient "flaky backend");
-    Ok (Njson.Bool true)
-  in
-  let _, replies = batch ~exec ~workers:1 [ "{\"id\":1,\"op\":\"ping\"}" ] in
-  check_int "executed twice (one retry)" 2 (Atomic.get calls);
-  check_string "second attempt answered ok"
-    "{\"id\":1,\"ok\":true,\"result\":true}" (List.hd replies)
-
-let test_server_exhausts_retries () =
-  let exec _req = raise (Service.Protocol.Transient "always down") in
+let test_server_unexpected_exception () =
+  let exec _req = failwith "always down" in
   let _, replies = batch ~exec ~workers:1 [ "{\"id\":1,\"op\":\"ping\"}" ] in
   match Njson.of_string_result (List.hd replies) with
   | Error e -> Alcotest.fail e
@@ -223,7 +209,7 @@ let test_server_exhausts_retries () =
     let kind =
       Option.bind (Njson.member "error" j) (Njson.member "kind")
     in
-    check_bool "internal after retries" true (kind = Some (Njson.String "internal"))
+    check_bool "internal" true (kind = Some (Njson.String "internal"))
 
 let test_server_refuses_after_drain () =
   let t, _ = batch ~workers:1 [ "{\"id\":1,\"op\":\"ping\"}" ] in
@@ -387,8 +373,8 @@ let () =
       ( "server",
         [
           Alcotest.test_case "end to end" `Quick test_server_end_to_end;
-          Alcotest.test_case "transient retry" `Quick test_server_retries_transient;
-          Alcotest.test_case "retries exhausted" `Quick test_server_exhausts_retries;
+          Alcotest.test_case "exception answers internal" `Quick
+            test_server_unexpected_exception;
           Alcotest.test_case "drain refusal" `Quick test_server_refuses_after_drain;
           Alcotest.test_case "stats op" `Quick test_server_stats_op;
           Alcotest.test_case "typed bad device" `Quick test_ops_bad_device_is_typed;
